@@ -115,7 +115,7 @@ def cmd_synthesize(args) -> int:
         _emit(text, args.out)
         return 0 if oracle.certified else 2
     result = _synthesize_any(obj, opts)
-    rep = report.synthesis_report(obj, result)
+    rep = report.synthesis_report(obj, result, opts)
     _emit(report.render_json(rep) if args.json else report.render_text(rep), args.out)
     return 0 if result.certified else 2
 
@@ -151,11 +151,10 @@ def cmd_sweep(args) -> int:
     rows = []
     for g in gammas:
         try:
-            res = _synthesize_any(docio.instantiate(doc, gamma=float(g), opts=opts),
-                                  opts)
+            plant = docio.instantiate(doc, gamma=float(g), opts=opts)
+            res = _synthesize_any(plant, opts)
             hinf = float("nan")
             if res.certified and res.controller is not None:
-                plant = docio.instantiate(doc, gamma=float(g), opts=opts)
                 hinf = close_loop(plant, res.controller, opts).hinf
             rows.append([float(g), int(res.certified), float(hinf)])
         except QhinfError:

@@ -18,6 +18,7 @@ from .options import DEFAULT, NumericOptions
 from .passive import PassivePlant
 from .plant import HinfPlant, build_plant
 from .qls import SlhModel
+from .synth import Controller
 
 SCHEMA_VERSION = "1"
 KINDS = ("slh", "plant", "passive_plant", "cavity", "dpa", "controller")
@@ -177,6 +178,9 @@ def document_for(obj, gamma: float | None = None) -> SystemDocument:
         return SystemDocument("passive_plant", {
             "C1": obj.C1, "C2": obj.C2, "D12": obj.D12, "D21": obj.D21},
             gamma=obj.gamma)
+    if isinstance(obj, Controller):
+        return SystemDocument("controller", {
+            "AK": obj.AK, "BK": obj.BK, "CK": obj.CK}, gamma=gamma)
     raise DocumentError(f"cannot serialize object of type {type(obj).__name__}")
 
 

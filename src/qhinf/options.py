@@ -30,8 +30,6 @@ class NumericOptions:
     imag_tol: float = 1e-10
     # symmetry / structural residual tolerance for input validation
     struct_tol: float = 1e-9
-    # bisection tolerance for gamma thresholds
-    gamma_tol: float = 1e-10
 
     def override(self, **kwargs) -> "NumericOptions":
         """Copy with some fields replaced."""

@@ -2,10 +2,11 @@
 
 Passive systems need only the n-dimensional complex description.  The
 shifted generator Ax = (C1^H C1 - C2^H C2)/2 is Hermitian, so the
-stable/anti-stable split is an eigendecomposition, the Lyapunov solutions
-commute into place, and the coupling spectral radius rho(XY) is exactly
-zero: the two positivity tests are necessary AND sufficient, giving a sharp
-attenuation threshold gamma*.
+stable/anti-stable split is an eigendecomposition with an empty coupling
+block, and the coupling spectral radius rho(XY) is exactly zero: the two
+positivity tests are necessary AND sufficient, giving a sharp attenuation
+threshold gamma*.  Everything after the split is the shared core in synth,
+run with the conjugate transpose as the adjoint.
 """
 
 from dataclasses import dataclass, field
@@ -15,8 +16,10 @@ import scipy.linalg as sla
 
 from . import linalg
 from .errors import AssumptionError, DimensionError, StructureError, SynthesisError
+from .linalg import SchurSplit
 from .options import DEFAULT, NumericOptions
-from .synth import Controller, LyapunovQuad, SynthesisResult
+from .synth import (SynthesisResult, assemble_xy, build_controller, positivity,
+                    riccati_weights, solve_quad)
 
 
 @dataclass
@@ -24,7 +27,8 @@ class PassivePlant:
     """Two-channel passive plant (detuning already rotated away).
 
     C1 is the performance coupling (k x n), C2 the measurement coupling
-    (l x n); D12, D21 are unitary feedthroughs.
+    (l x n); D12, D21 are unitary feedthroughs.  The shifted generators are
+    Ax (Hermitian) and its mirror Ay = -Ax.
     """
     C1: np.ndarray
     C2: np.ndarray
@@ -36,6 +40,12 @@ class PassivePlant:
     B1: np.ndarray = field(init=False)
     B2: np.ndarray = field(init=False)
     Ax: np.ndarray = field(init=False)
+    Ay: np.ndarray = field(init=False)
+
+    @staticmethod
+    def adjoint(M: np.ndarray) -> np.ndarray:
+        """Adjoint of the complex representation: the conjugate transpose."""
+        return M.conj().T
 
     def __post_init__(self):
         self.C1 = np.atleast_2d(np.asarray(self.C1, dtype=complex))
@@ -62,6 +72,7 @@ class PassivePlant:
         self.B1 = -self.C2.conj().T @ self.D21
         self.B2 = -self.C1.conj().T @ self.D12
         self.Ax = g1 - g2m
+        self.Ay = -self.Ax
 
     @property
     def n_modes(self) -> int:
@@ -83,11 +94,12 @@ def build_passive_plant(C1, C2, D12=None, D21=None, gamma: float = 1.0,
     return PassivePlant(C1, C2, D12, D21, gamma, opts=opts)
 
 
-def _split_hermitian(Ax: np.ndarray, opts: NumericOptions):
+def _split_hermitian(Ax: np.ndarray, opts: NumericOptions) -> SchurSplit:
     """Eigendecompose Hermitian Ax with negative eigenvalues first.
 
-    Returns (W, lam) with W Ax W^H = diag(lam).  Raises when any eigenvalue
-    sits within split_tol of zero (the split is then ill-defined).
+    Returns the split with W Ax W^H = diag(lam): diagonal stable and
+    anti-stable blocks and a zero coupling block A12.  Raises when any
+    eigenvalue sits within split_tol of zero (the split is then ill-defined).
     """
     lam, Q = np.linalg.eigh(Ax)   # ascending: stable block first
     scale = max(1.0, float(np.max(np.abs(lam))) if lam.size else 1.0)
@@ -95,7 +107,10 @@ def _split_hermitian(Ax: np.ndarray, opts: NumericOptions):
         raise AssumptionError(
             "passive shifted generator is (numerically) singular; "
             "the attenuation problem is ill-posed")
-    return Q.conj().T, lam
+    sd, n = int(np.sum(lam < 0)), lam.size
+    return SchurSplit(W=Q.conj().T, A11=np.diag(lam[:sd]),
+                      A12=np.zeros((sd, n - sd)), A22=np.diag(lam[sd:]),
+                      n_stable=sd, n_anti=n - sd)
 
 
 def synthesize_passive(plant: PassivePlant,
@@ -106,78 +121,20 @@ def synthesize_passive(plant: PassivePlant,
     one, so rho(XY) = 0 identically and certification reduces to positive
     definiteness of S - T/gamma^2 and U - V/gamma^2.
     """
-    W, lam = _split_hermitian(plant.Ax, opts)
-    sd = int(np.sum(lam < 0))
-    n = plant.n_modes
-    g2 = plant.gamma ** 2
-    A1 = np.diag(lam[:sd])          # stable block
-    A3 = np.diag(lam[sd:])          # anti-stable block
-    B1x, B2x = W @ plant.B1, W @ plant.B2
-
-    S = linalg.solve_lyapunov(-A3, B2x[sd:] @ B2x[sd:].conj().T, opts)
-    T = linalg.solve_lyapunov(-A3, B1x[sd:] @ B1x[sd:].conj().T, opts)
-    U = linalg.solve_lyapunov(A1, B1x[:sd] @ B1x[:sd].conj().T, opts)
-    V = linalg.solve_lyapunov(A1, B2x[:sd] @ B2x[:sd].conj().T, opts)
-    quad = LyapunovQuad(S, T, U, V, S - T / g2, U - V / g2)
-
-    diagnostics = {
-        "smtg_pd": bool(not quad.SmTg.size or linalg.is_positive_definite(quad.SmTg, opts)),
-        "umvg_pd": bool(not quad.UmVg.size or linalg.is_positive_definite(quad.UmVg, opts)),
-    }
-    certified = diagnostics["smtg_pd"] and diagnostics["umvg_pd"]
-    if not certified:
-        bad = [name for name, okflag in
-               [("S - T/gamma^2", diagnostics["smtg_pd"]),
-                ("U - V/gamma^2", diagnostics["umvg_pd"])] if not okflag]
+    split = _split_hermitian(plant.Ax, opts)
+    quad = solve_quad(plant, split, opts)
+    diagnostics, failure = positivity(quad, opts)
+    if failure:
         return SynthesisResult(plant.gamma, None, quad, None, None, None,
                                0.0, False, None, certified=False,
-                               regime="passive",
-                               failure=" and ".join(bad) + " not positive definite",
+                               regime="passive", failure=failure,
                                diagnostics=diagnostics)
-
-    Xt = np.zeros((n, n), dtype=complex)
-    Xt[sd:, sd:] = np.linalg.inv(quad.SmTg) if quad.SmTg.size else quad.SmTg
-    Yt = np.zeros((n, n), dtype=complex)
-    Yt[:sd, :sd] = np.linalg.inv(quad.UmVg) if quad.UmVg.size else quad.UmVg
-    X = W.conj().T @ Xt @ W
-    Y = W.conj().T @ Yt @ W / g2
-    X, Y = 0.5 * (X + X.conj().T), 0.5 * (Y + Y.conj().T)
-    rho_xy = linalg.spectral_radius(X @ Y)
-
-    M = plant.B1 @ plant.B1.conj().T / g2 - plant.B2 @ plant.B2.conj().T
-    N = plant.C1.conj().T @ plant.C1 - g2 * plant.C2.conj().T @ plant.C2
-    diagnostics["are_residual_x"] = float(np.linalg.norm(
-        plant.Ax.conj().T @ X + X @ plant.Ax + X @ M @ X))
-    diagnostics["are_residual_y"] = float(np.linalg.norm(
-        -plant.Ax @ Y + Y @ (-plant.Ax).conj().T + Y @ N @ Y))
-
-    controller = build_passive_controller(plant, X, Y, opts)
+    X, Y, rho_xy, residuals = assemble_xy(plant, split, quad,
+                                          riccati_weights(plant), opts)
+    controller = build_controller(plant, X, Y, opts)
     return SynthesisResult(plant.gamma, None, quad, X, Y, None, rho_xy,
-                           True, controller, certified=True,
-                           regime="passive", diagnostics=diagnostics)
-
-
-def build_passive_controller(plant: PassivePlant, X: np.ndarray, Y: np.ndarray,
-                             opts: NumericOptions = DEFAULT) -> Controller:
-    """Complex-representation controller from the Riccati solutions."""
-    g2 = plant.gamma ** 2
-    n = plant.n_modes
-    IYX = np.eye(n) - Y @ X
-    if linalg.min_singular_value(IYX) < 1e-12 * max(1.0, linalg.max_singular_value(IYX)):
-        raise SynthesisError("I - YX is singular (rho(XY) >= 1)")
-    CK = -(plant.B2.conj().T @ X + plant.D12.conj().T @ plant.C1)
-    BK = np.linalg.solve(IYX, g2 * Y @ plant.C2.conj().T
-                         + plant.B1 @ plant.D21.conj().T)
-    AK = (plant.A + plant.B2 @ CK - BK @ plant.C2
-          + (plant.B1 - BK @ plant.D21) @ plant.B1.conj().T @ X / g2)
-    resid = np.linalg.norm(AK + AK.conj().T + BK @ BK.conj().T
-                           + CK.conj().T @ CK)
-    pr = float(resid / (1.0 + np.linalg.norm(AK)))
-    return Controller(AK, BK, CK,
-                      BKtilde=-CK.conj().T,
-                      CKtilde=-BK.conj().T,
-                      pr_residual=pr,
-                      needs_augmentation=bool(pr > opts.pr_tol))
+                           True, controller, certified=True, regime="passive",
+                           diagnostics={**diagnostics, **residuals})
 
 
 @dataclass
@@ -201,14 +158,7 @@ class PassiveThreshold:
 def passive_gamma_threshold(plant: PassivePlant,
                             opts: NumericOptions = DEFAULT) -> PassiveThreshold:
     """gamma* with S - T/g^2 > 0 and U - V/g^2 > 0 exactly for g > gamma*."""
-    W, lam = _split_hermitian(plant.Ax, opts)
-    sd = int(np.sum(lam < 0))
-    A1, A3 = np.diag(lam[:sd]), np.diag(lam[sd:])
-    B1x, B2x = W @ plant.B1, W @ plant.B2
-    S = linalg.solve_lyapunov(-A3, B2x[sd:] @ B2x[sd:].conj().T, opts)
-    T = linalg.solve_lyapunov(-A3, B1x[sd:] @ B1x[sd:].conj().T, opts)
-    U = linalg.solve_lyapunov(A1, B1x[:sd] @ B1x[:sd].conj().T, opts)
-    V = linalg.solve_lyapunov(A1, B2x[:sd] @ B2x[:sd].conj().T, opts)
+    quad = solve_quad(plant, _split_hermitian(plant.Ax, opts), opts)
 
     def block_threshold(num, den):
         # largest t with den - num/t^2 losing definiteness: t^2 = lam_max(num, den)
@@ -221,8 +171,8 @@ def passive_gamma_threshold(plant: PassivePlant,
         vals = sla.eigvalsh(num, den)
         return float(max(0.0, np.max(vals.real)))
 
-    t_x = block_threshold(T, S)
-    t_y = block_threshold(V, U)
+    t_x = block_threshold(quad.T, quad.S)
+    t_y = block_threshold(quad.V, quad.U)
     binding = "performance" if t_x >= t_y else "measurement"
     return PassiveThreshold(float(np.sqrt(max(t_x, t_y))), binding,
                             lam_ts=t_x, lam_vu=t_y)

@@ -40,6 +40,13 @@ class HinfPlant:
     A: np.ndarray = field(init=False)
     B1: np.ndarray = field(init=False)
     B2: np.ndarray = field(init=False)
+    Ax: np.ndarray = field(init=False)
+    Ay: np.ndarray = field(init=False)
+
+    @staticmethod
+    def adjoint(M: np.ndarray) -> np.ndarray:
+        """Adjoint of the quadrature representation: the sharp adjoint."""
+        return sharp_adjoint(M)
 
     def __post_init__(self):
         self.Hmat = np.atleast_2d(np.asarray(self.Hmat, dtype=float))
@@ -65,13 +72,17 @@ class HinfPlant:
                 raise StructureError(f"{name} must be orthogonal")
         if not self.gamma > 0:
             raise ValueError("gamma must be positive")
-        n = nn // 2
-        JJ = j_symplectic(n)
-        self.A = (JJ @ self.Hmat
-                  - 0.5 * sharp_adjoint(self.C1) @ self.C1
-                  - 0.5 * sharp_adjoint(self.C2) @ self.C2)
+        JH = j_symplectic(nn // 2) @ self.Hmat
+        half1 = 0.5 * sharp_adjoint(self.C1) @ self.C1
+        half2 = 0.5 * sharp_adjoint(self.C2) @ self.C2
+        self.A = JH - half1 - half2
         self.B1 = -sharp_adjoint(self.C2) @ self.D21
         self.B2 = -sharp_adjoint(self.C1) @ self.D12
+        # shifted generators (see AxAyPair), computed once per plant
+        self.Ax, self.Ay = JH + half1 - half2, JH - half1 + half2
+        mirror = np.linalg.norm(self.Ay + sharp_adjoint(self.Ax))
+        if mirror > 1e-12 * (1 + np.linalg.norm(self.Ax)):
+            raise StructureError(f"generator mirror identity violated ({mirror:.2e})")
 
     @property
     def n_modes(self) -> int:
@@ -121,15 +132,8 @@ class AxAyPair:
 
 
 def compute_ax_ay(plant: HinfPlant, opts: NumericOptions = DEFAULT) -> AxAyPair:
-    JJ = j_symplectic(plant.n_modes)
-    half1 = 0.5 * sharp_adjoint(plant.C1) @ plant.C1
-    half2 = 0.5 * sharp_adjoint(plant.C2) @ plant.C2
-    Ax = JJ @ plant.Hmat + half1 - half2
-    Ay = JJ @ plant.Hmat - half1 + half2
-    mirror = np.linalg.norm(Ay + sharp_adjoint(Ax))
-    if mirror > 1e-12 * (1 + np.linalg.norm(Ax)):
-        raise StructureError(f"generator mirror identity violated ({mirror:.2e})")
-    return AxAyPair(Ax, Ay)
+    """The plant's shifted generators, computed (and mirror-checked) with it."""
+    return AxAyPair(plant.Ax, plant.Ay)
 
 
 @dataclass
@@ -149,8 +153,7 @@ class AssumptionReport:
 
 def check_assumptions(plant: HinfPlant,
                       opts: NumericOptions = DEFAULT) -> AssumptionReport:
-    Ax = compute_ax_ay(plant, opts).Ax
-    lam = np.linalg.eigvals(Ax)
+    lam = np.linalg.eigvals(plant.Ax)
     scale = max(1.0, float(np.max(np.abs(lam))) if lam.size else 1.0)
     min_re = float(np.min(np.abs(lam.real))) if lam.size else np.inf
     return AssumptionReport(

@@ -51,12 +51,17 @@ def flat_adjoint(X: np.ndarray) -> np.ndarray:
 
 
 def sharp_adjoint(X: np.ndarray) -> np.ndarray:
-    """X^sharp = JJ_k^T X^H JJ_r for X of shape (2r, 2k).  (X^sharp)^sharp = X."""
+    """X^sharp = JJ_k^T X^H JJ_r for X of shape (2r, 2k).  (X^sharp)^sharp = X.
+    With r x k blocks X = [[a, b], [c, d]] it is [[d^H, -b^H], [-c^H, a^H]]."""
     X = np.atleast_2d(np.asarray(X))
     if X.shape[0] % 2 or X.shape[1] % 2:
         raise DimensionError(f"sharp adjoint needs even dimensions, got {X.shape}")
     r, k = X.shape[0] // 2, X.shape[1] // 2
-    return j_symplectic(k).T @ X.conj().T @ j_symplectic(r)
+    Xh = X.conj().T
+    out = np.empty(Xh.shape, dtype=np.result_type(X.dtype, float))
+    out[:k, :r], out[:k, r:] = Xh[k:, r:], -Xh[k:, :r]
+    out[k:, :r], out[k:, r:] = -Xh[:k, r:], Xh[:k, :r]
+    return out
 
 
 def quadrature_map(k: int) -> np.ndarray:

@@ -8,6 +8,7 @@ import json
 
 import numpy as np
 
+from .options import DEFAULT, NumericOptions
 from .synth import SynthesisResult
 from .verify import attenuation_certificate, close_loop
 
@@ -25,10 +26,11 @@ def _mat(M) -> list | None:
     return [[float(v) for v in row] for row in M]
 
 
-def synthesis_report(plant, result: SynthesisResult) -> dict:
+def synthesis_report(plant, result: SynthesisResult, opts: NumericOptions = DEFAULT) -> dict:
     """Machine-readable account of one synthesis run.
 
-    Closed-loop figures are recomputed here from the stored matrices; the
+    Closed-loop figures are recomputed here from the stored matrices, with
+    the same tolerances as the synthesis (opts); the
     method path records which certification route applied (the passive route
     is exact, the symmetric regime is exact, the general one is sufficient).
     """
@@ -64,7 +66,7 @@ def synthesis_report(plant, result: SynthesisResult) -> dict:
             "pr_residual": float(k.pr_residual),
             "needs_augmentation": bool(k.needs_augmentation),
         }
-        cl = close_loop(plant, k)
+        cl = close_loop(plant, k, opts)
         cert = attenuation_certificate(cl, result.gamma)
         rep["closed_loop"] = {
             "internally_stable": cert.internally_stable,

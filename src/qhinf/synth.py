@@ -8,6 +8,9 @@ differences S - T/gamma^2 and U - V/gamma^2.  Certification always checks the
 spectral-radius coupling rho(XY) < 1 and the stabilizing (Hurwitz) properties
 directly; the singular-value short-cut tests are reported as diagnostics,
 and are necessary-and-sufficient only in the symmetric-Ax regime.
+
+The four solves, the X/Y assembly and the controller serve both plant kinds;
+a plant supplies its shifted generators Ax, Ay and its adjoint.
 """
 
 from dataclasses import dataclass, field
@@ -18,8 +21,7 @@ from . import linalg
 from .errors import AssumptionError, SynthesisError
 from .linalg import SchurSplit
 from .options import DEFAULT, NumericOptions
-from .plant import AxAyPair, HinfPlant, compute_ax_ay
-from .qls import j_symplectic, sharp_adjoint
+from .plant import HinfPlant, check_assumptions
 
 
 @dataclass
@@ -75,17 +77,17 @@ class SynthesisResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def solve_quad(plant: HinfPlant, split: SchurSplit,
+def solve_quad(plant, split: SchurSplit,
                opts: NumericOptions = DEFAULT) -> LyapunovQuad:
     """Solve the four Lyapunov equations on the split subspaces.
 
     With B1x = W B1, B2x = W B2 partitioned conformally (subscript 1 stable,
     2 anti-stable):
 
-        -Ax3 S - S Ax3' + B2x2 B2x2' = 0      (anti-stable pair)
-        -Ax3 T - T Ax3' + B1x2 B1x2' = 0
-         Ax1 U + U Ax1' + B1x1 B1x1' = 0      (stable pair)
-         Ax1 V + V Ax1' + B2x1 B2x1' = 0
+        -Ax3 S - S Ax3^H + B2x2 B2x2^H = 0      (anti-stable pair)
+        -Ax3 T - T Ax3^H + B1x2 B1x2^H = 0
+         Ax1 U + U Ax1^H + B1x1 B1x1^H = 0      (stable pair)
+         Ax1 V + V Ax1^H + B2x1 B2x1^H = 0
 
     Empty blocks give zero-dimensional members and the pipeline degenerates
     to two equations.
@@ -93,72 +95,60 @@ def solve_quad(plant: HinfPlant, split: SchurSplit,
     sd = split.n_stable
     B1x, B2x = split.W @ plant.B1, split.W @ plant.B2
     g2 = plant.gamma ** 2
-    S = linalg.solve_lyapunov(-split.A22, B2x[sd:] @ B2x[sd:].T, opts)
-    T = linalg.solve_lyapunov(-split.A22, B1x[sd:] @ B1x[sd:].T, opts)
-    U = linalg.solve_lyapunov(split.A11, B1x[:sd] @ B1x[:sd].T, opts)
-    V = linalg.solve_lyapunov(split.A11, B2x[:sd] @ B2x[:sd].T, opts)
+    S = linalg.solve_lyapunov(-split.A22, B2x[sd:] @ B2x[sd:].conj().T, opts)
+    T = linalg.solve_lyapunov(-split.A22, B1x[sd:] @ B1x[sd:].conj().T, opts)
+    U = linalg.solve_lyapunov(split.A11, B1x[:sd] @ B1x[:sd].conj().T, opts)
+    V = linalg.solve_lyapunov(split.A11, B2x[:sd] @ B2x[:sd].conj().T, opts)
     return LyapunovQuad(S, T, U, V, S - T / g2, U - V / g2)
 
 
-def _blockdiag(first: np.ndarray, second: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros((n, n))
-    k = first.shape[0]
-    out[:k, :k] = first
-    out[k:, k:] = second
-    return out
+def positivity(quad: LyapunovQuad, opts: NumericOptions = DEFAULT) -> tuple[dict, str]:
+    """Flags for S - T/gamma^2 > 0 and U - V/gamma^2 > 0 (an empty block
+    passes), and the refusal naming every block that fails ("" if none)."""
+    blocks = {"smtg_pd": ("S - T/gamma^2", quad.SmTg),
+              "umvg_pd": ("U - V/gamma^2", quad.UmVg)}
+    flags = {key: bool(not P.size or linalg.is_positive_definite(P, opts))
+             for key, (_, P) in blocks.items()}
+    bad = [blocks[key][0] for key, ok in flags.items() if not ok]
+    return flags, " and ".join(bad) + " not positive definite" if bad else ""
 
 
-def assemble_xy(plant: HinfPlant, split: SchurSplit, quad: LyapunovQuad,
+def riccati_weights(plant) -> tuple[np.ndarray, np.ndarray]:
+    """M, N of Ax^H X + X Ax + X M X = 0 and Ay Y + Y Ay^H + Y N Y = 0."""
+    g2 = plant.gamma ** 2
+    return (plant.B1 @ plant.B1.conj().T / g2 - plant.B2 @ plant.B2.conj().T,
+            plant.C1.conj().T @ plant.C1 - g2 * plant.C2.conj().T @ plant.C2)
+
+
+def assemble_xy(plant, split: SchurSplit, quad: LyapunovQuad, weights,
                 opts: NumericOptions = DEFAULT):
     """Build the stabilizing Riccati solutions X, Y from the Lyapunov data.
 
-    Returns (X, Y, Z, rho_xy, diagnostics).  Requires SmTg and UmVg positive
-    definite (raises SynthesisError naming the violated condition otherwise;
-    the caller converts this into a certified-failure result).
+    X = W^H diag(0, (S - T/g^2)^-1) W and Y = adj(W^H diag((U - V/g^2)^-1, 0) W)
+    / g^2 with the plant's adjoint.  Requires SmTg and UmVg positive definite
+    (see positivity).  Returns (X, Y, rho_xy, Riccati residuals).
     """
-    n2 = plant.A.shape[0]
+    n = plant.A.shape[0]
     sd = split.n_stable
-    g2 = plant.gamma ** 2
-    diagnostics: dict = {}
+    W = split.W
+    Xt = np.zeros((n, n), dtype=W.dtype)
+    Yt = np.zeros((n, n), dtype=W.dtype)
+    if quad.SmTg.size:
+        Xt[sd:, sd:] = np.linalg.inv(quad.SmTg)
+    if quad.UmVg.size:
+        Yt[:sd, :sd] = np.linalg.inv(quad.UmVg)
+    X = W.conj().T @ Xt @ W
+    Y = plant.adjoint(W.conj().T @ Yt @ W) / plant.gamma ** 2
+    X, Y = 0.5 * (X + X.conj().T), 0.5 * (Y + Y.conj().T)
 
-    if quad.SmTg.size and not linalg.is_positive_definite(quad.SmTg, opts):
-        raise SynthesisError("S - T/gamma^2 is not positive definite")
-    if quad.UmVg.size and not linalg.is_positive_definite(quad.UmVg, opts):
-        raise SynthesisError("U - V/gamma^2 is not positive definite")
-
-    SmTg_inv = np.linalg.inv(quad.SmTg) if quad.SmTg.size else quad.SmTg
-    UmVg_inv = np.linalg.inv(quad.UmVg) if quad.UmVg.size else quad.UmVg
-    Xt = _blockdiag(np.zeros((sd, sd)), SmTg_inv, n2)
-    Yt = _blockdiag(UmVg_inv, np.zeros((split.n_anti,) * 2), n2)
-    X = split.W.T @ Xt @ split.W
-    JJ = j_symplectic(n2 // 2)
-    Y = (JJ @ split.W.T @ Yt @ split.W @ JJ.T) / g2
-    Z = JJ @ split.W @ JJ.T @ split.W.T
-    X, Y = 0.5 * (X + X.T), 0.5 * (Y + Y.T)
-
-    # cross-block compatibility: the padded Y-candidate solves its Riccati
-    # equation only when the off-diagonal blocks Y1 Ax2 (and its transpose)
-    # vanish, i.e. the coupling block must be annihilated
-    if split.A12.size:
-        c1 = np.linalg.norm(UmVg_inv @ split.A12)
-        diagnostics["compat_residual"] = float(
-            c1 / ((1.0 + np.linalg.norm(UmVg_inv))
-                  * (1.0 + np.linalg.norm(split.A11) + np.linalg.norm(split.A22))))
-        diagnostics["cross_block_norm"] = float(np.linalg.norm(split.A12))
-    else:
-        diagnostics["compat_residual"] = 0.0
-        diagnostics["cross_block_norm"] = 0.0
-
-    pair = compute_ax_ay(plant, opts)
-    M = plant.B1 @ plant.B1.T / g2 - plant.B2 @ plant.B2.T
-    N = plant.C1.T @ plant.C1 - g2 * plant.C2.T @ plant.C2
-    resX = np.linalg.norm(pair.Ax.T @ X + X @ pair.Ax + X @ M @ X)
-    resY = np.linalg.norm(pair.Ay @ Y + Y @ pair.Ay.T + Y @ N @ Y)
-    diagnostics["are_residual_x"] = float(resX)
-    diagnostics["are_residual_y"] = float(resY)
-
-    rho_xy = linalg.spectral_radius(X @ Y)
-    return X, Y, Z, rho_xy, diagnostics
+    M, N = weights
+    residuals = {
+        "are_residual_x": float(np.linalg.norm(
+            plant.Ax.conj().T @ X + X @ plant.Ax + X @ M @ X)),
+        "are_residual_y": float(np.linalg.norm(
+            plant.Ay @ Y + Y @ plant.Ay.conj().T + Y @ N @ Y)),
+    }
+    return X, Y, linalg.spectral_radius(X @ Y), residuals
 
 
 def _is_symmetric_regime(Ax: np.ndarray, Z: np.ndarray, opts: NumericOptions) -> bool:
@@ -169,8 +159,8 @@ def _is_symmetric_regime(Ax: np.ndarray, Z: np.ndarray, opts: NumericOptions) ->
     return bool(sym and z_id <= 1e-8 * n2)
 
 
-def certify(plant: HinfPlant, pair: AxAyPair, quad: LyapunovQuad,
-            X: np.ndarray, Y: np.ndarray, Z: np.ndarray, rho_xy: float,
+def certify(plant: HinfPlant, split: SchurSplit, quad: LyapunovQuad,
+            X: np.ndarray, Y: np.ndarray, Z: np.ndarray, rho_xy: float, weights,
             diagnostics: dict, opts: NumericOptions = DEFAULT) -> tuple[bool, bool, str]:
     """Decide whether the assembled (X, Y) certify the attenuation target.
 
@@ -185,6 +175,20 @@ def certify(plant: HinfPlant, pair: AxAyPair, quad: LyapunovQuad,
     """
     g2 = plant.gamma ** 2
     ok, why = True, []
+    UmVg_inv = np.linalg.inv(quad.UmVg) if quad.UmVg.size else None
+
+    # cross-block compatibility: the padded Y-candidate solves its Riccati
+    # equation only when the off-diagonal blocks Y1 Ax2 (and its transpose)
+    # vanish, i.e. the coupling block must be annihilated
+    if split.A12.size:
+        c1 = np.linalg.norm(UmVg_inv @ split.A12)
+        diagnostics["compat_residual"] = float(
+            c1 / ((1.0 + np.linalg.norm(UmVg_inv))
+                  * (1.0 + np.linalg.norm(split.A11) + np.linalg.norm(split.A22))))
+        diagnostics["cross_block_norm"] = float(np.linalg.norm(split.A12))
+    else:
+        diagnostics["compat_residual"] = 0.0
+        diagnostics["cross_block_norm"] = 0.0
 
     if not linalg.is_positive_semidefinite(X, opts):
         ok, why = False, why + ["X not positive semidefinite"]
@@ -192,13 +196,12 @@ def certify(plant: HinfPlant, pair: AxAyPair, quad: LyapunovQuad,
         ok, why = False, why + ["Y not positive semidefinite"]
     if rho_xy >= 1.0:
         ok, why = False, why + [f"rho(XY) = {rho_xy:.6g} >= 1"]
-    if diagnostics.get("compat_residual", 0.0) > opts.residual_tol:
+    if diagnostics["compat_residual"] > opts.residual_tol:
         ok, why = False, why + ["cross-block compatibility equation fails"]
 
-    M = plant.B1 @ plant.B1.T / g2 - plant.B2 @ plant.B2.T
-    N = plant.C1.T @ plant.C1 - g2 * plant.C2.T @ plant.C2
-    hurw_x = linalg.is_hurwitz(pair.Ax + M @ X)
-    hurw_y = linalg.is_hurwitz(pair.Ay + Y @ N)
+    M, N = weights
+    hurw_x = linalg.is_hurwitz(plant.Ax + M @ X)
+    hurw_y = linalg.is_hurwitz(plant.Ay + Y @ N)
     diagnostics["loop_x_hurwitz"] = hurw_x
     diagnostics["loop_y_hurwitz"] = hurw_y
     if not hurw_x:
@@ -208,36 +211,37 @@ def certify(plant: HinfPlant, pair: AxAyPair, quad: LyapunovQuad,
 
     # singular-value diagnostics; vacuous factors are 1 for empty blocks
     f_x = linalg.max_singular_value(np.linalg.inv(quad.SmTg)) if quad.SmTg.size else 1.0
-    f_y = linalg.max_singular_value(np.linalg.inv(quad.UmVg)) if quad.UmVg.size else 1.0
+    f_y = linalg.max_singular_value(UmVg_inv) if quad.UmVg.size else 1.0
     sigma_condition = bool(f_x * f_y < g2) if (quad.SmTg.size and quad.UmVg.size) else True
     diagnostics["sigma_product"] = float(f_x * f_y)
     diagnostics["sigma_product_direct"] = float(
         (linalg.min_singular_value(quad.SmTg) if quad.SmTg.size else 1.0)
         * (linalg.min_singular_value(quad.UmVg) if quad.UmVg.size else 1.0))
 
-    regime = "symmetric-iff" if _is_symmetric_regime(pair.Ax, Z, opts) else "general"
+    regime = "symmetric-iff" if _is_symmetric_regime(plant.Ax, Z, opts) else "general"
     diagnostics["failure_reasons"] = why
     return ok, sigma_condition, regime
 
 
-def build_controller(plant: HinfPlant, X: np.ndarray, Y: np.ndarray,
+def build_controller(plant, X: np.ndarray, Y: np.ndarray,
                      opts: NumericOptions = DEFAULT) -> Controller:
-    """Assemble the output-feedback controller from the Riccati solutions."""
+    """Assemble the output-feedback controller from the Riccati solutions,
+    in the plant's representation and with the plant's adjoint."""
     g2 = plant.gamma ** 2
-    n2 = plant.A.shape[0]
-    IYX = np.eye(n2) - Y @ X
+    adj = plant.adjoint
+    IYX = np.eye(plant.A.shape[0]) - Y @ X
     if linalg.min_singular_value(IYX) < 1e-12 * max(1.0, linalg.max_singular_value(IYX)):
         raise SynthesisError("I - YX is singular (rho(XY) >= 1)")
-    CK = -(plant.B2.T @ X + plant.D12.T @ plant.C1)
-    BK = np.linalg.solve(IYX, g2 * Y @ plant.C2.T + plant.B1 @ plant.D21.T)
+    CK = -(plant.B2.conj().T @ X + plant.D12.conj().T @ plant.C1)
+    BK = np.linalg.solve(IYX, g2 * Y @ plant.C2.conj().T
+                         + plant.B1 @ plant.D21.conj().T)
     AK = (plant.A + plant.B2 @ CK - BK @ plant.C2
-          + (plant.B1 - BK @ plant.D21) @ plant.B1.T @ X / g2)
-    resid = np.linalg.norm(AK + sharp_adjoint(AK) + BK @ sharp_adjoint(BK)
-                           + sharp_adjoint(CK) @ CK)
+          + (plant.B1 - BK @ plant.D21) @ plant.B1.conj().T @ X / g2)
+    resid = np.linalg.norm(AK + adj(AK) + BK @ adj(BK) + adj(CK) @ CK)
     pr = float(resid / (1.0 + np.linalg.norm(AK)))
     return Controller(AK, BK, CK,
-                      BKtilde=-sharp_adjoint(CK),
-                      CKtilde=-sharp_adjoint(BK),
+                      BKtilde=-adj(CK),
+                      CKtilde=-adj(BK),
                       pr_residual=pr,
                       needs_augmentation=bool(pr > opts.pr_tol))
 
@@ -246,31 +250,31 @@ def synthesize(plant: HinfPlant, opts: NumericOptions = DEFAULT) -> SynthesisRes
     """Full pipeline: assumptions -> split -> Lyapunov -> X/Y -> certificate
     -> controller.  Structural violations raise; a solvability failure at the
     stated gamma comes back as an uncertified result naming the condition."""
-    from .plant import check_assumptions
-
     report = check_assumptions(plant, opts)
     if not report.a3a4:
         raise AssumptionError(
             "shifted generator has an eigenvalue too close to the imaginary "
             f"axis (min |Re| = {report.min_abs_real:.3e}); synthesis is ill-posed")
-    pair = compute_ax_ay(plant, opts)
-    split = linalg.ordered_schur_split(pair.Ax, opts)
+    split = linalg.ordered_schur_split(plant.Ax, opts)
     quad = solve_quad(plant, split, opts)
-    try:
-        X, Y, Z, rho_xy, diagnostics = assemble_xy(plant, split, quad, opts)
-    except SynthesisError as exc:
+    _, failure = positivity(quad, opts)
+    if failure:
         return SynthesisResult(plant.gamma, split, quad, None, None, None,
                                None, None, None, certified=False,
-                               failure=str(exc))
+                               failure=failure)
+    weights = riccati_weights(plant)
+    X, Y, rho_xy, diagnostics = assemble_xy(plant, split, quad, weights, opts)
+    # Z = JJ W JJ^T W^T, written with the (sharp) adjoint
+    Z = plant.adjoint(split.W.T) @ split.W.T
     certified, sigma_condition, regime = certify(
-        plant, pair, quad, X, Y, Z, rho_xy, diagnostics, opts)
+        plant, split, quad, X, Y, Z, rho_xy, weights, diagnostics, opts)
     controller = None
     if rho_xy < 1.0 - 1e-12:
         controller = build_controller(plant, X, Y, opts)
-    failure = "; ".join(diagnostics.get("failure_reasons", []))
     return SynthesisResult(plant.gamma, split, quad, X, Y, Z, rho_xy,
                            sigma_condition, controller, certified,
-                           regime=regime, failure=failure,
+                           regime=regime,
+                           failure="; ".join(diagnostics["failure_reasons"]),
                            diagnostics=diagnostics)
 
 

@@ -17,7 +17,7 @@ import scipy.linalg as sla
 from . import linalg
 from .errors import OracleError
 from .options import DEFAULT, NumericOptions
-from .plant import HinfPlant, compute_ax_ay
+from .plant import HinfPlant
 from .synth import Controller
 
 
@@ -66,21 +66,20 @@ class OracleResult:
 def are_oracle(plant: HinfPlant, opts: NumericOptions = DEFAULT) -> OracleResult:
     """Solve the two coupled Riccati equations independently of the
     Lyapunov pipeline and evaluate the certification conditions."""
-    pair = compute_ax_ay(plant, opts)
     g2 = plant.gamma ** 2
     M = plant.B1 @ plant.B1.T / g2 - plant.B2 @ plant.B2.T
     N = plant.C1.T @ plant.C1 - g2 * plant.C2.T @ plant.C2
-    X = _stabilizing_riccati(pair.Ax, M, opts)
+    X = _stabilizing_riccati(plant.Ax, M, opts)
     # the Y equation has the mirrored form Ay Y + Y Ay' + Y N Y = 0, i.e. the
     # same problem in transposed variables
-    Y = _stabilizing_riccati(pair.Ay.T, N, opts).T
+    Y = _stabilizing_riccati(plant.Ay.T, N, opts).T
     Y = 0.5 * (Y + Y.T)
-    rx = float(np.linalg.norm(pair.Ax.T @ X + X @ pair.Ax + X @ M @ X))
-    ry = float(np.linalg.norm(pair.Ay @ Y + Y @ pair.Ay.T + Y @ N @ Y))
+    rx = float(np.linalg.norm(plant.Ax.T @ X + X @ plant.Ax + X @ M @ X))
+    ry = float(np.linalg.norm(plant.Ay @ Y + Y @ plant.Ay.T + Y @ N @ Y))
     x_psd = linalg.is_positive_semidefinite(X, opts)
     y_psd = linalg.is_positive_semidefinite(Y, opts)
-    hx = linalg.is_hurwitz(pair.Ax + M @ X)
-    hy = linalg.is_hurwitz(pair.Ay + Y @ N)
+    hx = linalg.is_hurwitz(plant.Ax + M @ X)
+    hy = linalg.is_hurwitz(plant.Ay + Y @ N)
     rho = linalg.spectral_radius(X @ Y)
     certified = bool(x_psd and y_psd and hx and hy and rho < 1.0)
     return OracleResult(X, Y, rho, rx, ry, x_psd, y_psd, hx, hy, certified)

@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 
 from conftest import random_sym_plant
-from qhinf.cli import main
+from qhinf import devices
+from qhinf.cli import PROFILES, main
 from qhinf.docio import (DocumentError, SystemDocument, atomic_write_text,
                          complex_to_pairs, document_for, instantiate,
                          load_document, pairs_to_complex, save_document)
-from qhinf.passive import PassivePlant
+from qhinf.passive import PassivePlant, synthesize_passive
 from qhinf.plant import HinfPlant
+from qhinf.synth import synthesize
+from qhinf.verify import close_loop
 
 
 class TestComplexEncoding:
@@ -149,6 +152,36 @@ class TestCli:
             ctl_path)
         assert main(["verify", path, ctl_path]) == 0
         assert "PASS" in capsys.readouterr().out.upper()
+
+    def test_controller_document_round_trip(self, tmp_path, capsys):
+        plant = devices.build_cavity(devices.CavitySpec(1.0, 4.0, 0.6))
+        res = synthesize_passive(plant)
+        assert res.certified
+        plant_path = str(tmp_path / "plant.json")
+        ctl_path = str(tmp_path / "controller.json")
+        save_document(document_for(plant), plant_path)
+        save_document(document_for(res.controller), ctl_path)
+        doc = load_document(ctl_path)
+        assert doc.kind == "controller"
+        mats = instantiate(doc)
+        for name in ("AK", "BK", "CK"):
+            assert np.allclose(mats[name], getattr(res.controller, name))
+        assert main(["verify", plant_path, ctl_path]) == 0
+        assert "pass" in capsys.readouterr().out
+
+    def test_synthesize_report_uses_profile(self, tmp_path, capsys,
+                                             monkeypatch):
+        path = str(tmp_path / "dpa.json")
+        save_document(SystemDocument("dpa", {}, params={
+            "kappa_w": 2.0, "kappa_u": 2.5, "epsilon": 1.0}, gamma=1.4), path)
+        strict = PROFILES["strict"]
+        plant = devices.build_dpa(devices.DpaSpec(2.0, 2.5, 1.0, 1.4), strict)
+        want = close_loop(plant, synthesize(plant, strict).controller,
+                          strict).hinf
+        monkeypatch.setenv("QHINF_PROFILE", "strict")
+        assert main(["synthesize", path, "--json"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["closed_loop"]["hinf"] == want
 
     def test_missing_file_exit_one(self, capsys):
         assert main(["synthesize", "/nonexistent/plant.json"]) == 1

@@ -70,7 +70,10 @@ class TestSynthesis:
         gs = float(passive_gamma_threshold(plant))
         p = plant.with_gamma(1.1 * gs)
         res = synthesize_passive(p)
-        cl = close_loop(p, res.controller)
+        ctl = res.controller
+        assert np.allclose(ctl.BKtilde, -ctl.CK.conj().T)
+        assert np.allclose(ctl.CKtilde, -ctl.BK.conj().T)
+        cl = close_loop(p, ctl)
         assert cl.internally_stable
         assert cl.hinf < p.gamma
         assert attenuation_certificate(cl, p.gamma).passed

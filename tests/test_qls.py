@@ -38,6 +38,14 @@ class TestDoubledAlgebra:
         assert np.allclose(flat_adjoint(flat_adjoint(X)), X)
         assert np.allclose(flat_adjoint(X @ Y), flat_adjoint(Y) @ flat_adjoint(X))
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 3))
+    def test_sharp_matches_j_form(self, seed, r, k):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(2 * r, 2 * k)) + 1j * rng.normal(size=(2 * r, 2 * k))
+        want = j_symplectic(k).T @ X.conj().T @ j_symplectic(r)
+        assert np.array_equal(sharp_adjoint(X), want)
+
     def test_sharp_involution(self, rng):
         X = rng.normal(size=(4, 6))
         assert np.allclose(sharp_adjoint(sharp_adjoint(X)), X)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import random_sym_plant
 from qhinf.linalg import is_hurwitz, ordered_schur_split
-from qhinf.plant import compute_ax_ay
+from qhinf.plant import build_plant, compute_ax_ay
 from qhinf.qls import j_symplectic, sharp_adjoint
 from qhinf.synth import min_certified_gamma, solve_quad, synthesize
 from qhinf.verify import are_oracle, attenuation_certificate, close_loop
@@ -101,6 +101,18 @@ class TestCertification:
         below = synthesize(plant.with_gamma(boundary * 0.99))
         assert not below.certified
         assert below.failure is not None
+
+    def test_refusal_names_every_failing_block(self):
+        # one stable and one anti-stable mode; far below the threshold both
+        # positivity tests fail, and the refusal names both
+        C1 = np.kron(np.eye(2), np.diag([1.5, 0.5]))
+        C2 = np.kron(np.eye(2), np.diag([0.5, 1.5]))
+        plant = build_plant(np.zeros((4, 4)), C1, C2, np.eye(4), np.eye(4),
+                            0.05)
+        res = synthesize(plant)
+        assert not res.certified
+        assert res.failure == ("S - T/gamma^2 and U - V/gamma^2 "
+                               "not positive definite")
 
     def test_loop_matrices_hurwitz_when_certified(self, rng):
         plant = random_sym_plant(rng, gamma=2.0)
