@@ -1,9 +1,10 @@
 """Dense linear-algebra kernel used by the synthesis pipeline.
 
 Thin, checked wrappers around numpy/scipy factorizations plus the two
-solvers the pipeline is built on: a Kronecker-product Lyapunov solver and a
-Hamiltonian-bisection H-infinity norm.  Everything works on complex input;
-real input stays real where the contract promises it.
+solvers the pipeline is built on: a Bartels-Stewart Lyapunov solver (one
+Schur form and LAPACK trsyl, O(n^3)) and a Hamiltonian-bisection H-infinity
+norm.  Everything works on complex input; real input stays real where the
+contract promises it.
 """
 
 from dataclasses import dataclass
@@ -87,11 +88,13 @@ def solve_lyapunov(A: np.ndarray, Q: np.ndarray,
                    opts: NumericOptions = DEFAULT) -> np.ndarray:
     """Solve A P + P A^H + Q = 0 for Hermitian P.
 
-    Kronecker vectorization: with column-major vec,
-    (I (x) A + conj(A) (x) I) vec(P) = -vec(Q).  Solvable whenever no pair of
-    eigenvalues satisfies lambda_i + conj(lambda_j) = 0; in the pipeline A is
-    always Hurwitz (or -A is), which guarantees this.  Output is symmetrized
-    and realified when the data are real.
+    Bartels-Stewart (CACM 15(9), 1972): with the Schur form A = Z T Z^H
+    (real quasi-triangular for real data, complex triangular otherwise),
+    LAPACK trsyl solves T Pt + Pt T^H = -Z^H Q Z by back substitution and
+    P = Z Pt Z^H.  O(n^3) time and O(n^2) memory.  Solvable whenever no pair
+    of eigenvalues satisfies lambda_i + conj(lambda_j) = 0; in the pipeline A
+    is always Hurwitz (or -A is), which guarantees this.  Output is
+    symmetrized and realified when the data are real.
     """
     A = _as_square(A, "A")
     Q = _as_square(Q, "Q")
@@ -103,17 +106,19 @@ def solve_lyapunov(A: np.ndarray, Q: np.ndarray,
     scale = max(1.0, float(np.linalg.norm(Q)))
     if np.linalg.norm(Q - Q.conj().T) > opts.struct_tol * scale:
         raise ValueError("Q must be Hermitian")
-    eye = np.eye(n)
-    K = np.kron(eye, A) + np.kron(A.conj(), eye)
-    try:
-        vecP = np.linalg.solve(K, -Q.reshape(-1, order="F"))
-    except np.linalg.LinAlgError as exc:
+    real = np.isrealobj(A) and np.isrealobj(Q)
+    T, Z = sla.schur(A, output="real" if real else "complex")
+    C = -(Z.conj().T @ Q @ Z)
+    trsyl, = sla.get_lapack_funcs(("trsyl",), (T, C))
+    Pt, trsyl_scale, info = trsyl(T, T, C, tranb="T" if real else "C")
+    if info != 0:
+        # info == 1: lambda_i + conj(lambda_j) (near) zero, trsyl perturbed
         raise ImaginaryAxisError(
             "Lyapunov operator is singular: eigenvalue pair with "
-            "lambda_i + conj(lambda_j) = 0") from exc
-    P = vecP.reshape((n, n), order="F")
+            "lambda_i + conj(lambda_j) = 0")
+    P = Z @ (Pt / trsyl_scale) @ Z.conj().T
     P = 0.5 * (P + P.conj().T)
-    if np.isrealobj(A) and np.isrealobj(Q):
+    if real:
         P = P.real
     resid = np.linalg.norm(A @ P + P @ A.conj().T + Q)
     if resid > opts.residual_tol * max(1.0, np.linalg.norm(Q), np.linalg.norm(P)):
@@ -139,6 +144,19 @@ class SchurSplit:
     n_anti: int
 
 
+def _quasi_triangular_eigenvalues(T: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a real quasi-triangular T from its 1x1 and 2x2
+    diagonal blocks (a 2x2 block starts wherever the subdiagonal is
+    nonzero)."""
+    lam = np.diag(T).astype(complex)
+    for i in np.flatnonzero(np.diag(T, -1)):
+        mean = 0.5 * (T[i, i] + T[i + 1, i + 1])
+        root = np.sqrt(complex((0.5 * (T[i, i] - T[i + 1, i + 1])) ** 2
+                               + T[i, i + 1] * T[i + 1, i]))
+        lam[i], lam[i + 1] = mean + root, mean - root
+    return lam
+
+
 def ordered_schur_split(A: np.ndarray, opts: NumericOptions = DEFAULT) -> SchurSplit:
     """Split a real matrix into stable and anti-stable invariant subspaces.
 
@@ -155,13 +173,17 @@ def ordered_schur_split(A: np.ndarray, opts: NumericOptions = DEFAULT) -> SchurS
     if n == 0:
         e = np.zeros((0, 0))
         return SchurSplit(e, e, e, e, 0, 0)
-    lam = np.linalg.eigvals(A)
+    near_axis = ("eigenvalue on or near the imaginary axis; stable/anti-stable "
+                 "split is ill-defined (standing assumptions violated)")
+    try:
+        T, Z, sdim = sla.schur(A, output="real", sort=lambda re, im: re < 0.0)
+    except np.linalg.LinAlgError as exc:
+        # reordering fails when rounding flips the sign of a real part
+        raise ImaginaryAxisError(near_axis) from exc
+    lam = _quasi_triangular_eigenvalues(T)
     scale = max(1.0, float(np.max(np.abs(lam))))
     if np.min(np.abs(lam.real)) <= opts.split_tol * scale:
-        raise ImaginaryAxisError(
-            "eigenvalue on or near the imaginary axis; stable/anti-stable "
-            "split is ill-defined (standing assumptions violated)")
-    T, Z, sdim = sla.schur(A, output="real", sort=lambda re, im: re < 0.0)
+        raise ImaginaryAxisError(near_axis)
     W = Z.T
     split = SchurSplit(
         W=W,

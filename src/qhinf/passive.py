@@ -18,6 +18,7 @@ from . import linalg
 from .errors import AssumptionError, DimensionError, StructureError, SynthesisError
 from .linalg import SchurSplit
 from .options import DEFAULT, NumericOptions
+from .plant import copy_with_gamma
 from .synth import (SynthesisResult, assemble_xy, build_controller, positivity,
                     riccati_weights, solve_quad)
 
@@ -79,8 +80,8 @@ class PassivePlant:
         return self.C1.shape[1]
 
     def with_gamma(self, gamma: float) -> "PassivePlant":
-        return PassivePlant(self.C1, self.C2, self.D12, self.D21, gamma,
-                            opts=self.opts)
+        """Same physical data at a different attenuation target."""
+        return copy_with_gamma(self, gamma)
 
 
 def build_passive_plant(C1, C2, D12=None, D21=None, gamma: float = 1.0,
@@ -129,8 +130,8 @@ def synthesize_passive(plant: PassivePlant,
                                0.0, False, None, certified=False,
                                regime="passive", failure=failure,
                                diagnostics=diagnostics)
-    X, Y, rho_xy, residuals = assemble_xy(plant, split, quad,
-                                          riccati_weights(plant), opts)
+    X, Y, rho_xy, residuals, _ = assemble_xy(plant, split, quad,
+                                             riccati_weights(plant), opts)
     controller = build_controller(plant, X, Y, opts)
     return SynthesisResult(plant.gamma, None, quad, X, Y, None, rho_xy,
                            True, controller, certified=True, regime="passive",

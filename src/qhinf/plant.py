@@ -13,6 +13,7 @@ hinges on the spectrum of the shifted generator Ax staying off the imaginary
 axis.
 """
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,8 +91,7 @@ class HinfPlant:
 
     def with_gamma(self, gamma: float) -> "HinfPlant":
         """Same physical data at a different attenuation target."""
-        return HinfPlant(self.Hmat, self.C1, self.C2, self.D12, self.D21,
-                         gamma, opts=self.opts)
+        return copy_with_gamma(self, gamma)
 
     def pr_residuals(self) -> tuple[float, float]:
         """Joint physical-realizability residuals of the two-channel plant:
@@ -105,6 +105,20 @@ class HinfPlant:
             float(np.linalg.norm(self.B1 + sharp_adjoint(self.C2) @ self.D21)),
             float(np.linalg.norm(self.B2 + sharp_adjoint(self.C1) @ self.D12)))
         return r1, r2
+
+
+def copy_with_gamma(plant, gamma: float):
+    """Shallow copy of a built plant with only gamma replaced.
+
+    Nothing else depends on gamma, so the copy shares the derived matrices
+    and skips their construction and checks; no code writes to a plant's
+    arrays in place.
+    """
+    if not gamma > 0:
+        raise ValueError("gamma must be positive")
+    out = copy.copy(plant)
+    out.gamma = gamma
+    return out
 
 
 def build_plant(Hmat, C1, C2, D12, D21, gamma: float,

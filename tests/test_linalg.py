@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -57,6 +60,43 @@ class TestLyapunov:
         P = solve_lyapunov(A, Q)
         assert np.linalg.norm(A @ P + P @ A.conj().T + Q) < 1e-9 * np.linalg.norm(Q)
 
+    def test_quasi_triangular_matches_scipy(self, rng):
+        # real Schur-like A with two 2x2 complex-pair blocks and a 1x1 block
+        A = np.triu(rng.normal(size=(5, 5)))
+        A[[0, 1, 2], [0, 1, 2]] = [-1.0, -1.0, -0.3]
+        A[[3, 4], [3, 4]] = -0.7
+        A[1, 0], A[0, 1] = -2.0, 1.5
+        A[4, 3], A[3, 4] = -0.5, 3.0
+        G = rng.normal(size=(5, 3))
+        Q = G @ G.T
+        P = solve_lyapunov(A, Q)
+        ref = sla.solve_continuous_lyapunov(A, -Q)
+        assert np.isrealobj(P)
+        assert np.linalg.norm(P - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_diagonal_with_complex_q_matches_scipy(self, rng):
+        # the passive split's shape: real diagonal A, complex Hermitian Q
+        A = np.diag([-0.4, -1.3, -2.2, -0.9])
+        G = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+        Q = G @ G.conj().T
+        P = solve_lyapunov(A, Q)
+        ref = sla.solve_continuous_lyapunov(A, -Q)
+        assert np.iscomplexobj(P)
+        assert np.linalg.norm(P - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_memory_is_quadratic(self, rng):
+        # an n^2 x n^2 Kronecker system at n = 60 would need ~100 MB
+        A = stable_matrix(rng, 60)
+        G = rng.normal(size=(60, 60))
+        Q = G @ G.T
+        tracemalloc.start()
+        try:
+            solve_lyapunov(A, Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+
     def test_singular_operator_raises(self):
         # mirrored eigenvalue pair makes the Lyapunov operator singular
         with pytest.raises(ImaginaryAxisError):
@@ -79,9 +119,14 @@ class TestSchurSplit:
         split = ordered_schur_split(np.diag([-1.0, -2.0]))
         assert split.n_stable == 2 and split.n_anti == 0
 
-    def test_imaginary_axis_raises(self):
+    def test_imaginary_axis_raises(self, rng):
         with pytest.raises(ImaginaryAxisError):
             ordered_schur_split(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        # a near-axis complex pair next to a stable mode, in rotated coordinates
+        A = np.array([[1e-14, 2.0, 0.0], [-0.5, 1e-14, 0.0], [0.0, 0.0, -2.0]])
+        Q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        with pytest.raises(ImaginaryAxisError):
+            ordered_schur_split(Q @ A @ Q.T)
 
 
 class TestHinfNorm:

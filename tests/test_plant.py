@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_sym_plant
+from conftest import random_passive_plant, random_sym_plant
 from qhinf.errors import DimensionError, StructureError
+from qhinf.passive import PassivePlant, synthesize_passive
 from qhinf.plant import build_plant, check_assumptions, compute_ax_ay
 from qhinf.qls import j_symplectic, sharp_adjoint
+from qhinf.synth import synthesize
 
 
 def simple_plant(gamma=1.5):
@@ -33,6 +35,24 @@ class TestConstruction:
         assert np.allclose(p.B1, q.B1)
         assert np.allclose(p.B2, q.B2)
         assert q.gamma == 2.5
+
+    def test_with_gamma_shares_derived_matrices(self, rng):
+        sym = random_sym_plant(rng, n_modes=2, gamma=1.5)
+        pas = random_passive_plant(rng, gamma=1.5)
+        cases = [(sym, build_plant(sym.Hmat, sym.C1, sym.C2, sym.D12,
+                                   sym.D21, 2.5), synthesize),
+                 (pas, PassivePlant(pas.C1, pas.C2, pas.D12, pas.D21, 2.5),
+                  synthesize_passive)]
+        for p, fresh, synth in cases:
+            q = p.with_gamma(2.5)
+            assert q.A is p.A and q.Ax is p.Ax and q.Ay is p.Ay
+            assert p.gamma == 1.5 and q.gamma == 2.5
+            res = synth(q)
+            assert res.certified
+            assert np.array_equal(res.X, synth(fresh).X)
+            for bad in (0.0, -1.0):
+                with pytest.raises(ValueError):
+                    p.with_gamma(bad)
 
     def test_rejects_nonsymmetric_hamiltonian(self):
         with pytest.raises(StructureError):
