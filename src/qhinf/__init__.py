@@ -7,8 +7,7 @@ from .qls import (SlhModel, StateSpace, build_complex_system,
                   doubled_up, flat_adjoint, is_passive, rotate_out_detuning,
                   sharp_adjoint, stability_and_minimality, to_complex_doubled,
                   to_quadrature, transfer_matrix)
-from .plant import (AssumptionReport, AxAyPair, HinfPlant, build_plant,
-                    check_assumptions, compute_ax_ay)
+from .plant import HinfPlant, build_plant
 from .synth import (Controller, LyapunovQuad, SynthesisResult,
                     build_controller, min_certified_gamma, synthesize)
 from .passive import (PassivePlant, PassiveThreshold, build_passive_plant,

@@ -13,11 +13,6 @@ class StructureError(QhinfError, ValueError):
     """Input violates a structural invariant (symmetry, unitarity, ...)."""
 
 
-class ImaginaryAxisError(QhinfError, ValueError):
-    """An eigenvalue lies on (or numerically too close to) the imaginary
-    axis, so a stable/anti-stable split or a Riccati solve is ill-posed."""
-
-
 class NotHurwitzError(QhinfError, ValueError):
     """A matrix required to be Hurwitz has an eigenvalue with
     non-negative real part."""
@@ -25,6 +20,13 @@ class NotHurwitzError(QhinfError, ValueError):
 
 class AssumptionError(QhinfError, ValueError):
     """A plant violates one of the standing synthesis assumptions."""
+
+
+class ImaginaryAxisError(AssumptionError):
+    """An eigenvalue lies on (or numerically too close to) the imaginary
+    axis, so a stable/anti-stable split or a Riccati solve is ill-posed.
+    For the shifted generator this is the spectral assumption (A3/A4)
+    failing."""
 
 
 class SynthesisError(QhinfError, RuntimeError):

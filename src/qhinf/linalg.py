@@ -23,13 +23,6 @@ def _as_square(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     return M
 
 
-def eigenvalues(A: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a square matrix, sorted by real part then imaginary."""
-    A = _as_square(A, "A")
-    lam = np.linalg.eigvals(A)
-    return lam[np.lexsort((lam.imag, lam.real))]
-
-
 def spectral_radius(A: np.ndarray) -> float:
     A = _as_square(A, "A")
     if A.shape[0] == 0:
@@ -130,11 +123,16 @@ def solve_lyapunov(A: np.ndarray, Q: np.ndarray,
 
 @dataclass
 class SchurSplit:
-    """Ordered real Schur decomposition split into stable / anti-stable parts.
+    """A shifted generator split into stable / anti-stable parts.
 
-    W is real orthogonal with W A W^T = [[A11, A12], [0, A22]], where A11
-    carries the open-left-half-plane eigenvalues and A22 the open-right-half-
-    plane ones.  n_stable + n_anti = n; either block may be empty.
+    W is unitary with W A W^H = [[A11, A12], [0, A22]], where A11 carries
+    the open-left-half-plane eigenvalues and A22 the open-right-half-plane
+    ones.  The general split is an ordered real Schur form (W real
+    orthogonal, A11 and A22 quasi-triangular); the passive split is an
+    eigendecomposition of a Hermitian generator (A11 and A22 diagonal, A12
+    zero).  n_stable + n_anti = n; either block may be empty.  min_abs_real
+    is the smallest |Re lambda| over the spectrum, the distance to the
+    imaginary axis that the split tested (inf for an empty matrix).
     """
     W: np.ndarray
     A11: np.ndarray
@@ -142,6 +140,7 @@ class SchurSplit:
     A22: np.ndarray
     n_stable: int
     n_anti: int
+    min_abs_real: float
 
 
 def _quasi_triangular_eigenvalues(T: np.ndarray) -> np.ndarray:
@@ -157,12 +156,19 @@ def _quasi_triangular_eigenvalues(T: np.ndarray) -> np.ndarray:
     return lam
 
 
+def _near_axis(min_re: float) -> ImaginaryAxisError:
+    return ImaginaryAxisError(
+        f"eigenvalue on or near the imaginary axis (min |Re lambda| = "
+        f"{min_re:.3e}); stable/anti-stable split is ill-defined "
+        "(standing assumptions violated)")
+
+
 def ordered_schur_split(A: np.ndarray, opts: NumericOptions = DEFAULT) -> SchurSplit:
     """Split a real matrix into stable and anti-stable invariant subspaces.
 
-    Raises ImaginaryAxisError if any eigenvalue has |Re lambda| below
-    split_tol relative to the spectral scale, since the split is then
-    ill-defined.
+    Raises ImaginaryAxisError, naming min |Re lambda|, if any eigenvalue has
+    |Re lambda| below split_tol relative to the spectral scale, since the
+    split is then ill-defined.
     """
     A = _as_square(A, "A")
     if not np.isrealobj(A):
@@ -172,18 +178,18 @@ def ordered_schur_split(A: np.ndarray, opts: NumericOptions = DEFAULT) -> SchurS
     n = A.shape[0]
     if n == 0:
         e = np.zeros((0, 0))
-        return SchurSplit(e, e, e, e, 0, 0)
-    near_axis = ("eigenvalue on or near the imaginary axis; stable/anti-stable "
-                 "split is ill-defined (standing assumptions violated)")
+        return SchurSplit(e, e, e, e, 0, 0, np.inf)
     try:
         T, Z, sdim = sla.schur(A, output="real", sort=lambda re, im: re < 0.0)
     except np.linalg.LinAlgError as exc:
         # reordering fails when rounding flips the sign of a real part
-        raise ImaginaryAxisError(near_axis) from exc
+        lam = _quasi_triangular_eigenvalues(sla.schur(A, output="real")[0])
+        raise _near_axis(float(np.min(np.abs(lam.real)))) from exc
     lam = _quasi_triangular_eigenvalues(T)
     scale = max(1.0, float(np.max(np.abs(lam))))
-    if np.min(np.abs(lam.real)) <= opts.split_tol * scale:
-        raise ImaginaryAxisError(near_axis)
+    min_re = float(np.min(np.abs(lam.real)))
+    if min_re <= opts.split_tol * scale:
+        raise _near_axis(min_re)
     W = Z.T
     split = SchurSplit(
         W=W,
@@ -192,6 +198,7 @@ def ordered_schur_split(A: np.ndarray, opts: NumericOptions = DEFAULT) -> SchurS
         A22=T[sdim:, sdim:],
         n_stable=int(sdim),
         n_anti=n - int(sdim),
+        min_abs_real=min_re,
     )
     # sanity: the (2,1) block of W A W^T must vanish
     lower = T[sdim:, :sdim]

@@ -15,7 +15,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import linalg
-from .errors import AssumptionError, DimensionError, StructureError, SynthesisError
+from .errors import (DimensionError, ImaginaryAxisError, StructureError,
+                     SynthesisError)
 from .linalg import SchurSplit
 from .options import DEFAULT, NumericOptions
 from .plant import copy_with_gamma
@@ -47,6 +48,28 @@ class PassivePlant:
     def adjoint(M: np.ndarray) -> np.ndarray:
         """Adjoint of the complex representation: the conjugate transpose."""
         return M.conj().T
+
+    def split(self, opts: NumericOptions = DEFAULT) -> SchurSplit:
+        """Eigendecompose Hermitian Ax with negative eigenvalues first.
+
+        Returns the split with W Ax W^H = diag(lam): diagonal stable and
+        anti-stable blocks and a zero coupling block A12.  This is the
+        plant's one test of the spectral assumption (A3/A4): it raises
+        ImaginaryAxisError, an AssumptionError, when an eigenvalue sits
+        within split_tol of zero (the split is then ill-defined).
+        """
+        lam, Q = np.linalg.eigh(self.Ax)   # ascending: stable block first
+        scale = max(1.0, float(np.max(np.abs(lam))) if lam.size else 1.0)
+        min_re = float(np.min(np.abs(lam))) if lam.size else np.inf
+        if min_re <= opts.split_tol * scale:
+            raise ImaginaryAxisError(
+                "passive shifted generator is (numerically) singular "
+                f"(min |Re lambda| = {min_re:.3e}); the attenuation problem "
+                "is ill-posed")
+        sd, n = int(np.sum(lam < 0)), lam.size
+        return SchurSplit(W=Q.conj().T, A11=np.diag(lam[:sd]),
+                          A12=np.zeros((sd, n - sd)), A22=np.diag(lam[sd:]),
+                          n_stable=sd, n_anti=n - sd, min_abs_real=min_re)
 
     def __post_init__(self):
         self.C1 = np.atleast_2d(np.asarray(self.C1, dtype=complex))
@@ -95,25 +118,6 @@ def build_passive_plant(C1, C2, D12=None, D21=None, gamma: float = 1.0,
     return PassivePlant(C1, C2, D12, D21, gamma, opts=opts)
 
 
-def _split_hermitian(Ax: np.ndarray, opts: NumericOptions) -> SchurSplit:
-    """Eigendecompose Hermitian Ax with negative eigenvalues first.
-
-    Returns the split with W Ax W^H = diag(lam): diagonal stable and
-    anti-stable blocks and a zero coupling block A12.  Raises when any
-    eigenvalue sits within split_tol of zero (the split is then ill-defined).
-    """
-    lam, Q = np.linalg.eigh(Ax)   # ascending: stable block first
-    scale = max(1.0, float(np.max(np.abs(lam))) if lam.size else 1.0)
-    if lam.size and np.min(np.abs(lam)) <= opts.split_tol * scale:
-        raise AssumptionError(
-            "passive shifted generator is (numerically) singular; "
-            "the attenuation problem is ill-posed")
-    sd, n = int(np.sum(lam < 0)), lam.size
-    return SchurSplit(W=Q.conj().T, A11=np.diag(lam[:sd]),
-                      A12=np.zeros((sd, n - sd)), A22=np.diag(lam[sd:]),
-                      n_stable=sd, n_anti=n - sd)
-
-
 def synthesize_passive(plant: PassivePlant,
                        opts: NumericOptions = DEFAULT) -> SynthesisResult:
     """Lyapunov-based synthesis for a passive plant.
@@ -122,7 +126,7 @@ def synthesize_passive(plant: PassivePlant,
     one, so rho(XY) = 0 identically and certification reduces to positive
     definiteness of S - T/gamma^2 and U - V/gamma^2.
     """
-    split = _split_hermitian(plant.Ax, opts)
+    split = plant.split(opts)
     quad = solve_quad(plant, split, opts)
     diagnostics, failure = positivity(quad, opts)
     if failure:
@@ -159,7 +163,7 @@ class PassiveThreshold:
 def passive_gamma_threshold(plant: PassivePlant,
                             opts: NumericOptions = DEFAULT) -> PassiveThreshold:
     """gamma* with S - T/g^2 > 0 and U - V/g^2 > 0 exactly for g > gamma*."""
-    quad = solve_quad(plant, _split_hermitian(plant.Ax, opts), opts)
+    quad = solve_quad(plant, plant.split(opts), opts)
 
     def block_threshold(num, den):
         # largest t with den - num/t^2 losing definiteness: t^2 = lam_max(num, den)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, StructureError
+from .linalg import SchurSplit, ordered_schur_split
 from .options import DEFAULT, NumericOptions
 from .qls import j_symplectic, sharp_adjoint
 
@@ -29,7 +30,10 @@ class HinfPlant:
 
     Hmat is the 2n x 2n real symmetric Hamiltonian matrix; C1 (performance
     coupling) is 2k x 2n, C2 (measurement coupling) is 2l x 2n; D12, D21 are
-    real orthogonal feedthroughs; gamma is the attenuation target.
+    real orthogonal feedthroughs; gamma is the attenuation target.  The
+    shifted generators Ax and Ay control solvability: Ax flips the sign of
+    the performance-coupling damping, Ay the measurement one.  They mirror
+    each other, Ay = -Ax#, so their spectra are negatives of each other.
     """
     Hmat: np.ndarray
     C1: np.ndarray
@@ -48,6 +52,18 @@ class HinfPlant:
     def adjoint(M: np.ndarray) -> np.ndarray:
         """Adjoint of the quadrature representation: the sharp adjoint."""
         return sharp_adjoint(M)
+
+    def split(self, opts: NumericOptions = DEFAULT) -> SchurSplit:
+        """Stable/anti-stable split of Ax by ordered real Schur form.
+
+        This is the plant's one test of the spectral assumption (A3/A4): it
+        raises ImaginaryAxisError, an AssumptionError, when Ax has an
+        eigenvalue within split_tol of the imaginary axis.  Ay's spectrum is
+        the mirror of Ax's, so the test covers both.  Stabilizability and
+        detectability (A1/A2) hold structurally for plants built from
+        physical data.
+        """
+        return ordered_schur_split(self.Ax, opts)
 
     def __post_init__(self):
         self.Hmat = np.atleast_2d(np.asarray(self.Hmat, dtype=float))
@@ -79,7 +95,7 @@ class HinfPlant:
         self.A = JH - half1 - half2
         self.B1 = -sharp_adjoint(self.C2) @ self.D21
         self.B2 = -sharp_adjoint(self.C1) @ self.D12
-        # shifted generators (see AxAyPair), computed once per plant
+        # shifted generators, computed once per plant
         self.Ax, self.Ay = JH + half1 - half2, JH - half1 + half2
         mirror = np.linalg.norm(self.Ay + sharp_adjoint(self.Ax))
         if mirror > 1e-12 * (1 + np.linalg.norm(self.Ax)):
@@ -131,48 +147,3 @@ def build_plant(Hmat, C1, C2, D12, D21, gamma: float,
         raise StructureError(
             f"derived plant is not physically realizable (residuals {r1:.2e}, {r2:.2e})")
     return plant
-
-
-@dataclass
-class AxAyPair:
-    """Shifted generators controlling solvability.
-
-    Ax flips the sign of the performance-coupling damping; Ay flips the
-    measurement one.  They mirror each other: Ay = -Ax# and the spectra are
-    negatives of each other as multisets.
-    """
-    Ax: np.ndarray
-    Ay: np.ndarray
-
-
-def compute_ax_ay(plant: HinfPlant, opts: NumericOptions = DEFAULT) -> AxAyPair:
-    """The plant's shifted generators, computed (and mirror-checked) with it."""
-    return AxAyPair(plant.Ax, plant.Ay)
-
-
-@dataclass
-class AssumptionReport:
-    """Standing-assumption check.
-
-    Stabilizability/detectability of the two channels (a1a2) hold structurally
-    for plants built from physical data; the spectral condition (a3a4) asks
-    the shifted generator Ax to have no eigenvalue within split_tol of the
-    imaginary axis, which simultaneously covers its mirror Ay.
-    """
-    a1a2: bool
-    a3a4: bool
-    ax_eigenvalues: np.ndarray
-    min_abs_real: float
-
-
-def check_assumptions(plant: HinfPlant,
-                      opts: NumericOptions = DEFAULT) -> AssumptionReport:
-    lam = np.linalg.eigvals(plant.Ax)
-    scale = max(1.0, float(np.max(np.abs(lam))) if lam.size else 1.0)
-    min_re = float(np.min(np.abs(lam.real))) if lam.size else np.inf
-    return AssumptionReport(
-        a1a2=True,
-        a3a4=bool(min_re > opts.split_tol * scale),
-        ax_eigenvalues=lam,
-        min_abs_real=min_re,
-    )

@@ -21,7 +21,7 @@ from . import linalg
 from .errors import AssumptionError, SynthesisError
 from .linalg import SchurSplit
 from .options import DEFAULT, NumericOptions
-from .plant import HinfPlant, check_assumptions
+from .plant import HinfPlant
 
 
 @dataclass
@@ -253,15 +253,11 @@ def build_controller(plant, X: np.ndarray, Y: np.ndarray,
 
 
 def synthesize(plant: HinfPlant, opts: NumericOptions = DEFAULT) -> SynthesisResult:
-    """Full pipeline: assumptions -> split -> Lyapunov -> X/Y -> certificate
-    -> controller.  Structural violations raise; a solvability failure at the
-    stated gamma comes back as an uncertified result naming the condition."""
-    report = check_assumptions(plant, opts)
-    if not report.a3a4:
-        raise AssumptionError(
-            "shifted generator has an eigenvalue too close to the imaginary "
-            f"axis (min |Re| = {report.min_abs_real:.3e}); synthesis is ill-posed")
-    split = linalg.ordered_schur_split(plant.Ax, opts)
+    """Full pipeline: split -> Lyapunov -> X/Y -> certificate -> controller.
+    Structural violations raise (the split raises an AssumptionError when
+    the spectral assumption fails); a solvability failure at the stated
+    gamma comes back as an uncertified result naming the condition."""
+    split = plant.split(opts)
     quad = solve_quad(plant, split, opts)
     _, failure = positivity(quad, opts)
     if failure:
@@ -287,21 +283,14 @@ def synthesize(plant: HinfPlant, opts: NumericOptions = DEFAULT) -> SynthesisRes
 
 def min_certified_gamma(plant: HinfPlant, lo: float, hi: float,
                         opts: NumericOptions = DEFAULT,
-                        max_iter: int = 60,
-                        tol: float = 1e-6,
-                        predicate=None) -> float:
+                        tol: float = 1e-6) -> float:
     """Bisect for the smallest gamma in [lo, hi] whose synthesis certifies.
 
-    `predicate` may replace the default certified-flag test with any boolean
-    function of a SynthesisResult (used for threshold studies).  The plant's
-    own gamma is ignored; lo must fail and hi must pass.
+    The plant's own gamma is ignored; lo must fail and hi must pass.
     """
-    if predicate is None:
-        predicate = lambda res: res.certified
-
     def ok(g: float) -> bool:
         try:
-            return bool(predicate(synthesize(plant.with_gamma(g), opts)))
+            return synthesize(plant.with_gamma(g), opts).certified
         except (AssumptionError, SynthesisError):
             return False
 
@@ -309,7 +298,7 @@ def min_certified_gamma(plant: HinfPlant, lo: float, hi: float,
         raise SynthesisError(f"upper bracket gamma = {hi} does not certify")
     if ok(lo):
         return lo
-    for _ in range(max_iter):
+    for _ in range(60):   # 60 halvings pass a double's resolution
         if hi - lo <= tol * max(1.0, hi):
             break
         mid = 0.5 * (lo + hi)

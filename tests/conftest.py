@@ -79,3 +79,14 @@ def random_passive_plant(rng: np.random.Generator, n: int = 2,
         lam = np.linalg.eigvalsh(plant.Ax)
         if np.min(np.abs(lam)) > 1e-3:
             return plant
+
+
+def on_axis_plants():
+    """Equal couplings put each shifted generator's spectrum at the origin:
+    the quadrature plant with C1 = C2 and a passive one with
+    C1^H C1 = C2^H C2 both have Ax = 0."""
+    rng = np.random.default_rng(7)
+    C = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    return (build_plant(np.zeros((2, 2)), np.eye(2), np.eye(2),
+                        np.eye(2), np.eye(2), 1.0),
+            PassivePlant(C, C, np.eye(2), np.eye(2), 1.0))

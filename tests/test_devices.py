@@ -12,7 +12,6 @@ from qhinf.devices import (SQRT5_M2, CavitySpec, DpaSpec, build_cavity,
                            _dpa_case1_pr_residual)
 from qhinf.errors import StructureError
 from qhinf.passive import passive_gamma_threshold, synthesize_passive
-from qhinf.plant import compute_ax_ay
 from qhinf.synth import min_certified_gamma, synthesize
 from qhinf.verify import are_oracle
 
@@ -82,11 +81,10 @@ class TestDpaCase1:
 
     def test_tabulated_x_fails_riccati(self):
         plant = build_dpa(self.spec)
-        pair = compute_ax_ay(plant)
         g2 = plant.gamma ** 2
         M = plant.B1 @ plant.B1.T / g2 - plant.B2 @ plant.B2.T
         X = dpa_case1_reference(self.spec)["X"]
-        resid = np.linalg.norm(pair.Ax.T @ X + X @ pair.Ax + X @ M @ X)
+        resid = np.linalg.norm(plant.Ax.T @ X + X @ plant.Ax + X @ M @ X)
         assert resid > 1e-2  # genuinely inconsistent, not a rounding artifact
 
     def test_pr_gamma_roots(self):

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import random_sym_plant
+from conftest import on_axis_plants, random_passive_plant, random_sym_plant
 from qhinf import devices
 from qhinf.cli import PROFILES, main
 from qhinf.docio import (DocumentError, SystemDocument, atomic_write_text,
@@ -118,6 +118,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert "pr (joint plant)" in out.lower()
         assert "a3/a4" in out.lower()
+
+    def test_check_spectral_condition_both_kinds(self, rng, tmp_path, capsys):
+        on_axis = on_axis_plants()
+        passing = (random_sym_plant(rng), random_passive_plant(rng))
+        for plant, code, verdict in [*((p, 2, "FAIL") for p in on_axis),
+                                     *((p, 0, "ok") for p in passing)]:
+            path = str(tmp_path / "plant.json")
+            save_document(document_for(plant), path)
+            assert main(["check", path]) == code
+            line, = [s for s in capsys.readouterr().out.splitlines()
+                     if "(A3/A4)" in s]
+            assert line.split(": ", 1)[1].startswith(verdict)
+            assert "min |Re lambda" in line
 
     def test_sweep_csv(self, rng, tmp_path, capsys):
         path = self.write_plant(rng, tmp_path)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhinf.errors import ImaginaryAxisError
-from qhinf.linalg import (eigenvalues, gain_at, hinf_norm, hinf_norm_grid,
+from qhinf.linalg import (gain_at, hinf_norm, hinf_norm_grid,
                           is_hurwitz, is_positive_definite,
                           is_positive_semidefinite, max_singular_value,
                           min_singular_value, ordered_schur_split,
@@ -16,7 +16,7 @@ from qhinf.linalg import (eigenvalues, gain_at, hinf_norm, hinf_norm_grid,
 
 def stable_matrix(rng, n, shift=0.5):
     A = rng.normal(size=(n, n))
-    return A - (np.max(eigenvalues(A).real) + shift) * np.eye(n)
+    return A - (np.max(np.linalg.eigvals(A).real) + shift) * np.eye(n)
 
 
 class TestBasics:
@@ -54,7 +54,7 @@ class TestLyapunov:
     def test_complex_pair(self, rng):
         n = 3
         A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        A = A - (np.max(eigenvalues(A).real) + 1.0) * np.eye(n)
+        A = A - (np.max(np.linalg.eigvals(A).real) + 1.0) * np.eye(n)
         G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         Q = G @ G.conj().T
         P = solve_lyapunov(A, Q)
@@ -109,8 +109,9 @@ class TestSchurSplit:
         Q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
         split = ordered_schur_split(Q @ A @ Q.T)
         assert split.n_stable == 2 and split.n_anti == 2
-        assert np.all(eigenvalues(split.A11).real < 0)
-        assert np.all(eigenvalues(split.A22).real > 0)
+        assert split.min_abs_real == pytest.approx(0.5, rel=1e-12)
+        assert np.all(np.linalg.eigvals(split.A11).real < 0)
+        assert np.all(np.linalg.eigvals(split.A22).real > 0)
         # W A W^T reproduces the block upper-triangular form
         T = split.W @ (Q @ A @ Q.T) @ split.W.T
         assert np.linalg.norm(T[split.n_stable:, :split.n_stable]) < 1e-10
@@ -120,7 +121,7 @@ class TestSchurSplit:
         assert split.n_stable == 2 and split.n_anti == 0
 
     def test_imaginary_axis_raises(self, rng):
-        with pytest.raises(ImaginaryAxisError):
+        with pytest.raises(ImaginaryAxisError, match=r"min \|Re lambda\| = "):
             ordered_schur_split(np.array([[0.0, 1.0], [-1.0, 0.0]]))
         # a near-axis complex pair next to a stable mode, in rotated coordinates
         A = np.array([[1e-14, 2.0, 0.0], [-0.5, 1e-14, 0.0], [0.0, 0.0, -2.0]])

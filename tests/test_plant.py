@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_passive_plant, random_sym_plant
-from qhinf.errors import DimensionError, StructureError
-from qhinf.passive import PassivePlant, synthesize_passive
-from qhinf.plant import build_plant, check_assumptions, compute_ax_ay
+from conftest import on_axis_plants, random_passive_plant, random_sym_plant
+from qhinf.errors import (AssumptionError, DimensionError, StructureError,
+                          SynthesisError)
+from qhinf.passive import (PassivePlant, passive_gamma_threshold,
+                           synthesize_passive)
+from qhinf.plant import build_plant
 from qhinf.qls import j_symplectic, sharp_adjoint
-from qhinf.synth import synthesize
+from qhinf.synth import min_certified_gamma, synthesize
 
 
 def simple_plant(gamma=1.5):
@@ -75,24 +77,39 @@ class TestAxAy:
     def test_ay_is_minus_sharp_of_ax(self, seed):
         rng = np.random.default_rng(seed)
         plant = random_sym_plant(rng)
-        pair = compute_ax_ay(plant)
-        assert np.allclose(pair.Ay, -sharp_adjoint(pair.Ax), atol=1e-12)
+        assert np.allclose(plant.Ay, -sharp_adjoint(plant.Ax), atol=1e-12)
 
     def test_shifted_generator_values(self):
         p = simple_plant()
-        pair = compute_ax_ay(p)
         # Ax = JH + (1/2) C1# C1 - (1/2) C2# C2 = (kappa_u - kappa_w)/2 * I
-        assert np.allclose(pair.Ax, 0.25 * np.eye(2))
+        assert np.allclose(p.Ax, 0.25 * np.eye(2))
 
 
 class TestAssumptions:
     def test_split_holds_generic(self, rng):
         plant = random_sym_plant(rng)
-        rep = check_assumptions(plant)
-        assert rep.a1a2 and rep.a3a4
+        split = plant.split()
+        assert split.min_abs_real > 0
+        assert split.n_stable + split.n_anti == plant.Ax.shape[0]
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_margin_matches_eigenvalues(self, seed):
+        plant = random_sym_plant(np.random.default_rng(seed))
+        want = np.min(np.abs(np.linalg.eigvals(plant.Ax).real))
+        assert plant.split().min_abs_real == pytest.approx(want, rel=1e-12)
 
     def test_split_fails_on_axis(self):
-        # equal couplings put the shifted generator's spectrum at the origin
-        p = build_plant(np.zeros((2, 2)), np.eye(2), np.eye(2),
-                        np.eye(2), np.eye(2), 1.0)
-        assert not check_assumptions(p).a3a4
+        for p in on_axis_plants():
+            assert np.array_equal(p.Ax, np.zeros_like(p.Ax))
+            with pytest.raises(AssumptionError, match=r"min \|Re lambda\| = 0\.000e\+00"):
+                p.split()
+
+    def test_pipeline_refuses_on_axis(self):
+        quad, pas = on_axis_plants()
+        for call in (lambda: synthesize(quad), lambda: synthesize_passive(pas),
+                     lambda: passive_gamma_threshold(pas)):
+            with pytest.raises(AssumptionError, match=r"min \|Re lambda\| = "):
+                call()
+        with pytest.raises(SynthesisError, match="upper bracket"):
+            min_certified_gamma(quad, 0.5, 5.0)

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_sym_plant
-from qhinf.linalg import is_hurwitz, ordered_schur_split
-from qhinf.plant import build_plant, compute_ax_ay
+from qhinf.linalg import is_hurwitz
+from qhinf.plant import build_plant
 from qhinf.qls import j_symplectic, sharp_adjoint
 from qhinf.synth import min_certified_gamma, solve_quad, synthesize
 from qhinf.verify import are_oracle, attenuation_certificate, close_loop
@@ -14,7 +14,7 @@ from qhinf.verify import are_oracle, attenuation_certificate, close_loop
 class TestLyapunovQuadruple:
     def test_equations_satisfied(self, rng):
         plant = random_sym_plant(rng)
-        split = ordered_schur_split(compute_ax_ay(plant).Ax)
+        split = plant.split()
         quad = solve_quad(plant, split)
         B1x = split.W @ plant.B1
         B2x = split.W @ plant.B2
@@ -39,12 +39,11 @@ class TestAssembly:
         res = synthesize(plant)
         if not res.certified:
             return
-        pair = compute_ax_ay(plant)
         g2 = plant.gamma ** 2
         M = plant.B1 @ plant.B1.T / g2 - plant.B2 @ plant.B2.T
         N = plant.C1.T @ plant.C1 - g2 * plant.C2.T @ plant.C2
-        rx = pair.Ax.T @ res.X + res.X @ pair.Ax + res.X @ M @ res.X
-        ry = pair.Ay @ res.Y + res.Y @ pair.Ay.T + res.Y @ N @ res.Y
+        rx = plant.Ax.T @ res.X + res.X @ plant.Ax + res.X @ M @ res.X
+        ry = plant.Ay @ res.Y + res.Y @ plant.Ay.T + res.Y @ N @ res.Y
         assert np.linalg.norm(rx) < 1e-8 * (1 + np.linalg.norm(res.X))
         assert np.linalg.norm(ry) < 1e-8 * (1 + np.linalg.norm(res.Y))
 
@@ -119,12 +118,11 @@ class TestCertification:
         res = synthesize(plant)
         if not res.certified:
             pytest.skip("sampled plant not certifiable at gamma = 2")
-        pair = compute_ax_ay(plant)
         g2 = plant.gamma ** 2
         M = plant.B1 @ plant.B1.T / g2 - plant.B2 @ plant.B2.T
         N = plant.C1.T @ plant.C1 - g2 * plant.C2.T @ plant.C2
-        assert is_hurwitz(pair.Ax + M @ res.X)
-        assert is_hurwitz(pair.Ay + res.Y @ N)
+        assert is_hurwitz(plant.Ax + M @ res.X)
+        assert is_hurwitz(plant.Ay + res.Y @ N)
 
 
 class TestRegimeLabel:

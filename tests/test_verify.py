@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import random_sym_plant
 from qhinf.errors import OracleError
 from qhinf.linalg import is_hurwitz
-from qhinf.plant import build_plant, compute_ax_ay
+from qhinf.plant import build_plant
 from qhinf.synth import synthesize
 from qhinf.verify import (are_oracle, attenuation_certificate, close_loop,
                           _stabilizing_riccati)
@@ -29,16 +29,15 @@ class TestRiccatiOracle:
         orc = are_oracle(plant)
         if not orc.certified:
             return
-        pair = compute_ax_ay(plant)
         g2 = plant.gamma ** 2
         M = plant.B1 @ plant.B1.T / g2 - plant.B2 @ plant.B2.T
         N = plant.C1.T @ plant.C1 - g2 * plant.C2.T @ plant.C2
-        assert np.linalg.norm(pair.Ax.T @ orc.X + orc.X @ pair.Ax
+        assert np.linalg.norm(plant.Ax.T @ orc.X + orc.X @ plant.Ax
                               + orc.X @ M @ orc.X) < 1e-8
-        assert np.linalg.norm(pair.Ay @ orc.Y + orc.Y @ pair.Ay.T
+        assert np.linalg.norm(plant.Ay @ orc.Y + orc.Y @ plant.Ay.T
                               + orc.Y @ N @ orc.Y) < 1e-8
-        assert is_hurwitz(pair.Ax + M @ orc.X)
-        assert is_hurwitz(pair.Ay + orc.Y @ N)
+        assert is_hurwitz(plant.Ax + M @ orc.X)
+        assert is_hurwitz(plant.Ay + orc.Y @ N)
 
     def test_axis_eigenvalue_raises(self):
         # zero drift, zero forcing: Hamiltonian spectrum sits on the axis
