@@ -15,7 +15,7 @@ import numpy as np
 from .devices import CavitySpec, DpaSpec, build_cavity, build_dpa
 from .errors import QhinfError
 from .options import DEFAULT, NumericOptions
-from .passive import PassivePlant
+from .passive import PassivePlant, build_passive_plant
 from .plant import HinfPlant, build_plant
 from .qls import SlhModel
 from .synth import Controller
@@ -146,9 +146,8 @@ def instantiate(doc: SystemDocument, gamma: float | None = None,
         m = doc.matrices
         if g is None:
             raise DocumentError("passive_plant document needs gamma")
-        return PassivePlant(m["C1"], m["C2"],
-                            m.get("D12", np.eye(m["C1"].shape[0])),
-                            m.get("D21", np.eye(m["C2"].shape[0])), g, opts=opts)
+        return build_passive_plant(m["C1"], m["C2"], m.get("D12"), m.get("D21"),
+                                   g, opts=opts)
     if doc.kind == "cavity":
         p = doc.params
         return build_cavity(CavitySpec(p["kappa1"], p["kappa2"],

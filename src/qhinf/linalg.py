@@ -44,12 +44,12 @@ def min_singular_value(M: np.ndarray) -> float:
     return float(np.linalg.svd(M, compute_uv=False)[-1])
 
 
-def is_hurwitz(A: np.ndarray, tol: float = 0.0) -> bool:
-    """True iff every eigenvalue of A has real part < -tol."""
+def is_hurwitz(A: np.ndarray) -> bool:
+    """True iff every eigenvalue of A has negative real part."""
     A = _as_square(A, "A")
     if A.shape[0] == 0:
         return True
-    return bool(np.max(np.linalg.eigvals(A).real) < -tol)
+    return bool(np.max(np.linalg.eigvals(A).real) < 0.0)
 
 
 def is_positive_definite(M: np.ndarray, opts: NumericOptions = DEFAULT) -> bool:
@@ -190,9 +190,10 @@ def ordered_schur_split(A: np.ndarray, opts: NumericOptions = DEFAULT) -> SchurS
     min_re = float(np.min(np.abs(lam.real)))
     if min_re <= opts.split_tol * scale:
         raise _near_axis(min_re)
-    W = Z.T
-    split = SchurSplit(
-        W=W,
+    # T[sdim:, :sdim] is zero by construction: a sorted real Schur form
+    # never splits a 2x2 block across sdim
+    return SchurSplit(
+        W=Z.T,
         A11=T[:sdim, :sdim],
         A12=T[:sdim, sdim:],
         A22=T[sdim:, sdim:],
@@ -200,11 +201,6 @@ def ordered_schur_split(A: np.ndarray, opts: NumericOptions = DEFAULT) -> SchurS
         n_anti=n - int(sdim),
         min_abs_real=min_re,
     )
-    # sanity: the (2,1) block of W A W^T must vanish
-    lower = T[sdim:, :sdim]
-    if lower.size and np.linalg.norm(lower) > opts.residual_tol * scale:
-        raise ImaginaryAxisError("Schur reordering failed to decouple blocks")
-    return split
 
 
 # ---------------------------------------------------------------------------

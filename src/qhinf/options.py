@@ -19,16 +19,21 @@ class NumericOptions:
     # threshold below which a physical-realizability residual counts as zero
     pr_tol: float = 1e-9
     # smallest eigenvalue for a matrix to count as positive definite,
-    # relative to its spectral norm
+    # relative to max(1, its Frobenius norm); also the certification margin
+    # rho(XY) < 1 - pd_tol (the same gate builds the controller), the PBH
+    # rank tests and the degenerate (unforced) Lyapunov pair of the passive
+    # threshold
     pd_tol: float = 1e-10
-    # slack for positive-semidefiniteness checks (eigenvalues may dip this
-    # far below zero from rounding)
+    # slack for positive-semidefiniteness checks, i.e. the Riccati oracle's
+    # X, Y >= 0 (eigenvalues may dip this far below zero from rounding)
     psd_tol: float = 1e-8
     # absolute tolerance for the H-infinity norm bisection
     hinf_tol: float = 1e-9
     # tolerance on imaginary parts when a matrix is expected to be real
     imag_tol: float = 1e-10
-    # symmetry / structural residual tolerance for input validation
+    # symmetry / structural residual tolerance for input validation; also
+    # the passivity test of an SLH model and the Z = +-I test of the
+    # symmetric-iff regime (times the dimension)
     struct_tol: float = 1e-9
 
     def override(self, **kwargs) -> "NumericOptions":

@@ -169,7 +169,7 @@ def passive_gamma_threshold(plant: PassivePlant,
         # largest t with den - num/t^2 losing definiteness: t^2 = lam_max(num, den)
         if not den.size:
             return 0.0
-        if linalg.min_singular_value(den) < 1e-14 * max(1.0, linalg.max_singular_value(den)):
+        if not linalg.is_positive_definite(den, opts):
             raise SynthesisError(
                 "degenerate Lyapunov pair: the forced block is not positive "
                 "definite, threshold undefined")

@@ -264,10 +264,10 @@ def transfer_matrix(ss: StateSpace, s: complex) -> np.ndarray:
 # passivity
 # ---------------------------------------------------------------------------
 
-def is_passive(model: SlhModel, tol: float | None = None) -> bool:
+def is_passive(model: SlhModel) -> bool:
     """A model is passive when it has no active coupling or squeezing terms
-    (C+ = 0 and Omega+ = 0)."""
-    tol = DEFAULT.struct_tol if tol is None else tol
+    (C+ = 0 and Omega+ = 0, to the model's struct_tol)."""
+    tol = model.opts.struct_tol
     return (np.linalg.norm(model.C_plus) < tol
             and np.linalg.norm(model.Omega_plus) < tol)
 
@@ -307,13 +307,13 @@ class SystemReport:
     detectable: bool
 
 
-def _pbh_rank_ok(A: np.ndarray, M: np.ndarray, lam: complex, stacked: bool) -> bool:
+def _pbh_rank_ok(A: np.ndarray, M: np.ndarray, lam: complex, stacked: bool,
+                 tol: float) -> bool:
     n = A.shape[0]
     block = (np.vstack([lam * np.eye(n) - A, M]) if stacked
              else np.hstack([lam * np.eye(n) - A, M]))
     sv = np.linalg.svd(block, compute_uv=False)
-    scale = max(1.0, sv[0])
-    return bool(np.sum(sv > 1e-10 * scale) == n)
+    return bool(np.sum(sv > tol * max(1.0, sv[0])) == n)
 
 
 def stability_and_minimality(ss: StateSpace,
@@ -322,9 +322,10 @@ def stability_and_minimality(ss: StateSpace,
     A, B, C = ss.A, ss.B, ss.C
     lam = np.linalg.eigvals(A)
     hurwitz = bool(np.max(lam.real) < -opts.pd_tol) if lam.size else True
-    ctrl = all(_pbh_rank_ok(A, B, l, stacked=False) for l in lam)
-    obsv = all(_pbh_rank_ok(A, C, l, stacked=True) for l in lam)
-    unstable = [l for l in lam if l.real >= -opts.pd_tol]
-    stab = all(_pbh_rank_ok(A, B, l, stacked=False) for l in unstable)
-    detc = all(_pbh_rank_ok(A, C, l, stacked=True) for l in unstable)
+    tol = opts.pd_tol
+    ctrl = all(_pbh_rank_ok(A, B, l, False, tol) for l in lam)
+    obsv = all(_pbh_rank_ok(A, C, l, True, tol) for l in lam)
+    unstable = [l for l in lam if l.real >= -tol]
+    stab = all(_pbh_rank_ok(A, B, l, False, tol) for l in unstable)
+    detc = all(_pbh_rank_ok(A, C, l, True, tol) for l in unstable)
     return SystemReport(hurwitz, ctrl, obsv, stab, detc)

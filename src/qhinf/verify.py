@@ -126,14 +126,13 @@ class AttenuationReport:
     grid_agreement: float   # relative gap between bisection and grid maxima
 
 
-def attenuation_certificate(cl: ClosedLoop, gamma: float,
-                            n_grid: int = 2000) -> AttenuationReport:
+def attenuation_certificate(cl: ClosedLoop, gamma: float) -> AttenuationReport:
     """Pass iff the loop is internally stable with H-infinity norm < gamma.
 
     Also reports the dense-grid cross-check of the norm (the grid maximum can
     only fall short of the true norm; agreement validates the bisection)."""
     if cl.internally_stable:
-        grid_val, worst = linalg.hinf_norm_grid(cl.A, cl.B, cl.C, cl.D, n_grid)
+        grid_val, worst = linalg.hinf_norm_grid(cl.A, cl.B, cl.C, cl.D)
         agreement = abs(cl.hinf - grid_val) / max(1e-300, cl.hinf)
     else:
         grid_val, worst, agreement = float("nan"), float("nan"), float("nan")

@@ -3,7 +3,7 @@ import pytest
 
 from qhinf.plant import HinfPlant, build_plant
 from qhinf.passive import PassivePlant
-from qhinf.qls import SlhModel
+from qhinf.qls import SlhModel, j_symplectic
 
 
 @pytest.fixture
@@ -90,3 +90,41 @@ def on_axis_plants():
     return (build_plant(np.zeros((2, 2)), np.eye(2), np.eye(2),
                         np.eye(2), np.eye(2), 1.0),
             PassivePlant(C, C, np.eye(2), np.eye(2), 1.0))
+
+
+def _realify(M: np.ndarray) -> np.ndarray:
+    """Real quadrature form [[Re, -Im], [Im, Re]] of a complex matrix."""
+    return np.block([[M.real, -M.imag], [M.imag, M.real]])
+
+
+def random_mixed_plant(rng: np.random.Generator, n_modes: int = 2,
+                       gamma: float = 1.5) -> HinfPlant:
+    """Random realizable quadrature plant whose shifted generator has
+    eigenvalues in both half planes.
+
+    Mode-mixing couplings with the performance coupling dominant on the
+    first half of the modes (rounded up) and the measurement coupling on the
+    rest, plus a random detuning and a squeezing term of norm <= 0.15, so Ax
+    is non-normal and its Schur coupling block A12 is nonzero.  Draws whose
+    detuning moves every eigenvalue to one side, or within 0.05 of the
+    imaginary axis, are redrawn.
+    """
+    k, m = (n_modes + 1) // 2, (n_modes,) * 2
+    n = 2 * n_modes
+    while True:
+        c1 = np.r_[rng.uniform(1.0, 1.5, k), rng.uniform(0.3, 0.7, n_modes - k)]
+        c2 = np.r_[rng.uniform(0.3, 0.7, k), rng.uniform(1.0, 1.5, n_modes - k)]
+        q = rand_unitary(rng, n_modes)
+        N1 = rand_unitary(rng, n_modes) @ np.diag(c1) @ q
+        N2 = rand_unitary(rng, n_modes) @ np.diag(c2) @ q
+        Om = rng.normal(size=m) + 1j * rng.normal(size=m)
+        Om = 0.5 * (Om + Om.conj().T) / np.sqrt(n_modes)
+        P = rng.normal(size=m) + 1j * rng.normal(size=m)
+        P = 0.5 * (P + P.T)
+        Hs = np.block([[P.real, P.imag], [P.imag, -P.real]])
+        Hs *= 0.15 / max(0.15, np.linalg.norm(j_symplectic(n_modes) @ Hs, 2))
+        plant = build_plant(_realify(Om) + Hs, _realify(N1), _realify(N2),
+                            np.eye(n), np.eye(n), gamma)
+        re = np.linalg.eigvals(plant.Ax).real
+        if re.min() < -0.05 and re.max() > 0.05 and np.abs(re).min() > 0.05:
+            return plant

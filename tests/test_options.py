@@ -1,4 +1,6 @@
+import io
 import re
+import tokenize
 from dataclasses import fields
 from pathlib import Path
 
@@ -14,3 +16,27 @@ def test_every_option_is_read():
     unread = [f.name for f in fields(NumericOptions)
               if not re.search(rf"\.{f.name}\b", text)]
     assert unread == []
+
+
+# scientific-notation literals allowed in the synthesis modules, with why
+ALLOWED_LITERALS = {
+    ("synth.py", "tol: float = 1e-6) -> float:"):
+        "min_certified_gamma's documented bisection width, a request about "
+        "the answer's resolution rather than a numerical decision",
+}
+
+
+def test_no_bare_tolerances():
+    # every threshold in the synthesis modules reads NumericOptions, so a
+    # hard-coded 1e-12 cannot hide from QHINF_PROFILE
+    src = Path(qhinf.__file__).parent
+    found = []
+    for name in ("synth.py", "plant.py", "passive.py"):
+        text = (src / name).read_text()
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            num = tok.string.lower()
+            if (tok.type == tokenize.NUMBER and "e" in num
+                    and not num.startswith("0x")
+                    and (name, tok.line.strip()) not in ALLOWED_LITERALS):
+                found.append(f"{name}:{tok.start[0]}: {tok.line.strip()}")
+    assert found == []

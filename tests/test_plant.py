@@ -61,6 +61,21 @@ class TestConstruction:
             build_plant(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2),
                         np.eye(2), np.eye(2), np.eye(2), 1.0)
 
+    def test_accepts_hamiltonian_asymmetric_within_struct_tol(self):
+        # the symmetry check admits a 1e-11 relative asymmetry; the stored
+        # Hmat is symmetrized, so the derived generators still mirror exactly
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            H = rng.normal(size=(4, 4))
+            E = rng.normal(size=(4, 4))
+            H, E = H + H.T, E - E.T
+            H = H + 1e-11 * np.linalg.norm(H) * E / np.linalg.norm(E)
+            p = build_plant(H, rng.normal(size=(4, 4)), rng.normal(size=(4, 4)),
+                            np.eye(4), np.eye(4), 1.0)
+            assert np.array_equal(p.Hmat, p.Hmat.T)
+            mirror = np.linalg.norm(p.Ay + sharp_adjoint(p.Ax))
+            assert mirror <= 1e-15 * np.linalg.norm(p.Ax)
+
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             build_plant(np.zeros((2, 2)), np.eye(2), np.ones((1, 4)),
