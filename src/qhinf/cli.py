@@ -90,7 +90,7 @@ def cmd_synthesize(args) -> int:
         oracle = are_oracle(obj, opts)
         controller = build_controller(obj, oracle.X, oracle.Y, opts)
         cl = close_loop(obj, controller, opts)
-        cert = attenuation_certificate(cl, obj.gamma)
+        cert = attenuation_certificate(cl, obj.gamma, opts)
         rep = {
             "gamma": obj.gamma, "method_path": "riccati-oracle",
             "certified": oracle.certified, "rho_xy": oracle.rho_xy,
@@ -127,7 +127,7 @@ def cmd_verify(args) -> int:
                    BKtilde=None, CKtilde=None, pr_residual=float("nan"),
                    needs_augmentation=False)
     cl = close_loop(plant, K, opts)
-    cert = attenuation_certificate(cl, plant.gamma)
+    cert = attenuation_certificate(cl, plant.gamma, opts)
     text = (f"internally stable    : {cert.internally_stable}\n"
             f"Hinf norm            : {cert.hinf:.10g}\n"
             f"gamma                : {plant.gamma}\n"

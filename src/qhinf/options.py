@@ -11,10 +11,12 @@ from dataclasses import dataclass, replace
 @dataclass(frozen=True)
 class NumericOptions:
     # relative tolerance for '|Re lambda| too close to the imaginary axis'
-    # when splitting a spectrum into stable / anti-stable parts
+    # when splitting a spectrum into stable / anti-stable parts; also what
+    # counts as on the axis in the H-infinity norm's Hamiltonian test
     split_tol: float = 1e-8
     # residual tolerance for linear-equation / Lyapunov / Riccati solutions,
-    # relative to the scale of the data
+    # relative to the scale of the data; also the largest cond(V) eps for
+    # which a frequency response is evaluated from A's eigenvectors V
     residual_tol: float = 1e-9
     # threshold below which a physical-realizability residual counts as zero
     pr_tol: float = 1e-9
@@ -27,7 +29,9 @@ class NumericOptions:
     # slack for positive-semidefiniteness checks, i.e. the Riccati oracle's
     # X, Y >= 0 (eigenvalues may dip this far below zero from rounding)
     psd_tol: float = 1e-8
-    # absolute tolerance for the H-infinity norm bisection
+    # relative width of the H-infinity norm's proven bracket: the norm is
+    # reported as the level (1 + 2 hinf_tol) lo that the Hamiltonian test
+    # shows no gain reaches, lo being a gain actually attained
     hinf_tol: float = 1e-9
     # tolerance on imaginary parts when a matrix is expected to be real
     imag_tol: float = 1e-10

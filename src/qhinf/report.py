@@ -67,7 +67,7 @@ def synthesis_report(plant, result: SynthesisResult, opts: NumericOptions = DEFA
             "needs_augmentation": bool(k.needs_augmentation),
         }
         cl = close_loop(plant, k, opts)
-        cert = attenuation_certificate(cl, result.gamma)
+        cert = attenuation_certificate(cl, result.gamma, opts)
         rep["closed_loop"] = {
             "internally_stable": cert.internally_stable,
             "hinf": _num(cert.hinf),

@@ -199,7 +199,7 @@ def certify(plant: HinfPlant, split: SchurSplit, quad: LyapunovQuad,
     # X and Y need no PSD test: each is congruent to a PD block (positivity
     # passed) padded with zeros
     if rho_xy >= 1.0 - opts.pd_tol:
-        ok, why = False, why + [f"rho(XY) = {rho_xy:.6g} >= 1"]
+        ok, why = False, why + [f"rho(XY) = {rho_xy:.12g} >= 1 - pd_tol"]
     if diagnostics["compat_residual"] > opts.residual_tol:
         ok, why = False, why + ["cross-block compatibility equation fails"]
 

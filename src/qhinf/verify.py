@@ -123,16 +123,19 @@ class AttenuationReport:
     margin: float
     worst_frequency: float
     grid_value: float
-    grid_agreement: float   # relative gap between bisection and grid maxima
+    grid_agreement: float   # relative gap between level-set and grid maxima
 
 
-def attenuation_certificate(cl: ClosedLoop, gamma: float) -> AttenuationReport:
+def attenuation_certificate(cl: ClosedLoop, gamma: float,
+                            opts: NumericOptions = DEFAULT) -> AttenuationReport:
     """Pass iff the loop is internally stable with H-infinity norm < gamma.
 
     Also reports the dense-grid cross-check of the norm (the grid maximum can
-    only fall short of the true norm; agreement validates the bisection)."""
+    only fall short of the true norm; agreement validates the level-set
+    norm)."""
     if cl.internally_stable:
-        grid_val, worst = linalg.hinf_norm_grid(cl.A, cl.B, cl.C, cl.D)
+        grid_val, worst = linalg.hinf_norm_grid(cl.A, cl.B, cl.C, cl.D,
+                                                opts=opts)
         agreement = abs(cl.hinf - grid_val) / max(1e-300, cl.hinf)
     else:
         grid_val, worst, agreement = float("nan"), float("nan"), float("nan")

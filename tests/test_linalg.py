@@ -6,17 +6,32 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_sym_plant
+from qhinf import linalg
 from qhinf.errors import ImaginaryAxisError
 from qhinf.linalg import (gain_at, hinf_norm, hinf_norm_grid,
                           is_hurwitz, is_positive_definite,
                           is_positive_semidefinite, max_singular_value,
                           min_singular_value, ordered_schur_split,
                           solve_lyapunov, spectral_radius, transfer_value)
+from qhinf.options import DEFAULT
+from qhinf.synth import synthesize
+from qhinf.verify import close_loop
 
 
 def stable_matrix(rng, n, shift=0.5):
     A = rng.normal(size=(n, n))
     return A - (np.max(np.linalg.eigvals(A).real) + shift) * np.eye(n)
+
+
+def crosses(A, B, C, gamma):
+    """gamma is a singular value of C (i w - A)^-1 B for some real w: the
+    Hamiltonian [[A, B B^H / gamma^2], [-C^H C, -A^H]] has an imaginary-axis
+    eigenvalue."""
+    H = np.block([[A, B @ B.conj().T / gamma**2],
+                  [-C.conj().T @ C, -A.conj().T]])
+    lam = np.linalg.eigvals(H)
+    return bool(np.min(np.abs(lam.real)) <= 1e-8 * max(1.0, np.max(np.abs(lam))))
 
 
 class TestBasics:
@@ -169,6 +184,57 @@ class TestHinfNorm:
         gval, _ = hinf_norm_grid(A, B, C, D)
         assert gval <= val * (1 + 1e-6)
         assert abs(val - gval) <= 1e-3 * max(1.0, val)
+
+    def test_no_under_report_non_normal(self):
+        # strongly non-normal A puts narrow peaks between grid points, and
+        # 2 |B| |C| / decay is no upper bound on the norm
+        rng = np.random.default_rng(5)
+        wrong = []
+        for i in range(300):
+            n = int(rng.integers(2, 7))
+            T = (3.0 * np.triu(rng.normal(size=(n, n)), 1)
+                 - np.diag(rng.uniform(0.05, 2.0, n)))
+            Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+            A, B, C = Q @ T @ Q.T, rng.normal(size=(n, 1)), rng.normal(size=(1, n))
+            D = np.zeros((1, 1))
+            h = hinf_norm(A, B, C, D)
+            if (crosses(A, B, C, h * (1 + 1e-6))
+                    or not crosses(A, B, C, h * (1 - 1e-6))
+                    or hinf_norm_grid(A, B, C, D)[0] > h):
+                wrong.append((i, h))
+        assert wrong == []
+
+    def test_sharp_resonance(self):
+        # peak 1 / (2 z sqrt(1 - z^2)) at damping z; at z = 1e-6 the
+        # Hamiltonian's eigenvalues just above the peak lie within split_tol
+        # of the axis, so the proven bound sits a little higher
+        def oscillator(z):
+            A = np.array([[0.0, 1.0], [-1.0, -2.0 * z]])
+            return A, np.array([[0.0], [1.0]]), np.array([[1.0, 0.0]]), np.zeros((1, 1))
+
+        for z, rel in ((1e-3, 1e-8), (1e-6, 1e-4)):
+            peak = 1.0 / (2.0 * z * np.sqrt(1.0 - z * z))
+            h = hinf_norm(*oscillator(z))
+            assert peak <= h <= peak * (1.0 + rel)
+        # a pole within split_tol of the axis: no level can be resolved
+        with pytest.raises(ImaginaryAxisError):
+            hinf_norm(*oscillator(1e-9))
+
+    def test_lu_fallback_matches_eigen_route(self):
+        # residual_tol = 0 rejects every eigenvector basis, forcing the
+        # per-frequency LU route on the same grid
+        rng = np.random.default_rng(7)
+        plant = random_sym_plant(rng, 6, gamma=2.0)
+        cl = close_loop(plant, synthesize(plant).controller)
+        lu = DEFAULT.override(residual_tol=0.0)
+        assert linalg._Response(cl.A, cl.B, cl.C, cl.D, lu).CV is None
+        assert linalg._Response(cl.A, cl.B, cl.C, cl.D).CV is not None
+        g_eig, w_eig = hinf_norm_grid(cl.A, cl.B, cl.C, cl.D)
+        g_lu, w_lu = hinf_norm_grid(cl.A, cl.B, cl.C, cl.D, opts=lu)
+        assert g_lu == pytest.approx(g_eig, rel=1e-12)
+        for w in (0.0, 0.3, w_eig, w_lu, 40.0):
+            assert gain_at(cl.A, cl.B, cl.C, cl.D, w, lu) == pytest.approx(
+                gain_at(cl.A, cl.B, cl.C, cl.D, w), rel=1e-12)
 
     def test_transfer_value(self):
         A = np.array([[-1.0]])

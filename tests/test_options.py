@@ -18,20 +18,30 @@ def test_every_option_is_read():
     assert unread == []
 
 
-# scientific-notation literals allowed in the synthesis modules, with why
+# scientific-notation literals allowed in the scanned modules, with why
 ALLOWED_LITERALS = {
     ("synth.py", "tol: float = 1e-6) -> float:"):
         "min_certified_gamma's documented bisection width, a request about "
         "the answer's resolution rather than a numerical decision",
+    ("linalg.py",
+     "lo = max(1e-8, 1e-3 * float(np.min(mags[mags > 0], initial=1.0)))"):
+        "_probe_frequencies' lowest grid frequency: three decades below the "
+        "slowest pole, floored at 1e-8; where the cross-check grid starts, "
+        "not a numerical decision",
+    ("linalg.py", "hi = max(10.0, 1e3 * float(np.max(mags, initial=1.0)))"):
+        "_probe_frequencies' highest grid frequency: three decades above the "
+        "fastest pole; where the cross-check grid ends, not a numerical "
+        "decision",
 }
 
 
 def test_no_bare_tolerances():
-    # every threshold in the synthesis modules reads NumericOptions, so a
-    # hard-coded 1e-12 cannot hide from QHINF_PROFILE
+    # every threshold in the synthesis modules and the linear-algebra kernel
+    # reads NumericOptions, so a hard-coded 1e-12 cannot hide from
+    # QHINF_PROFILE
     src = Path(qhinf.__file__).parent
     found = []
-    for name in ("synth.py", "plant.py", "passive.py"):
+    for name in ("synth.py", "plant.py", "passive.py", "linalg.py"):
         text = (src / name).read_text()
         for tok in tokenize.generate_tokens(io.StringIO(text).readline):
             num = tok.string.lower()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,6 +129,18 @@ class TestCertification:
             g = min_certified_gamma(plant, 0.05, 50.0, tol=1e-15)
             res = synthesize(plant.with_gamma(g))
             assert res.certified and res.controller is not None
+
+    def test_rho_refusal_names_the_margin(self):
+        # just below the boundary rho(XY) lies in [1 - pd_tol, 1): the text
+        # must show rho below 1 and name the gate it failed
+        plant = build_dpa(DpaSpec(1.0, 1.5, 1.0))
+        g = min_certified_gamma(plant, 0.05, 50.0, tol=1e-15)
+        res = synthesize(plant.with_gamma(g * (1 - 1e-11)))
+        assert not res.certified and res.rho_xy < 1.0
+        m = re.fullmatch(r"rho\(XY\) = (\S+) >= 1 - pd_tol", res.failure)
+        assert m is not None
+        assert float(m.group(1)) < 1.0
+        assert abs(float(m.group(1)) - res.rho_xy) <= 1e-12
 
     def test_loop_matrices_hurwitz_when_certified(self, rng):
         plant = random_sym_plant(rng, gamma=2.0)
