@@ -12,12 +12,12 @@ import sys
 import numpy as np
 
 from . import devices, docio, linalg, qls, report
-from .errors import AssumptionError, QhinfError
+from .errors import AssumptionError, ParameterError, QhinfError, positive_gamma
 from .options import DEFAULT, NumericOptions
 from .passive import PassivePlant, passive_gamma_threshold, synthesize_passive
 from .plant import HinfPlant
 from .qls import SlhModel
-from .synth import build_controller, synthesize
+from .synth import Controller, build_controller, synthesize
 from .verify import are_oracle, attenuation_certificate, close_loop
 
 PROFILES = {
@@ -122,7 +122,6 @@ def cmd_verify(args) -> int:
     if kdoc.kind != "controller":
         raise docio.DocumentError("second argument must be a controller document")
     mats = docio.instantiate(kdoc)
-    from .synth import Controller
     K = Controller(mats["AK"], mats["BK"], mats["CK"],
                    BKtilde=None, CKtilde=None, pr_residual=float("nan"),
                    needs_augmentation=False)
@@ -141,6 +140,7 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     opts = _options()
     doc = docio.load_document(args.path)
+    positive_gamma(min(args.min, args.max))
     gammas = np.linspace(args.min, args.max, args.steps)
     rows = []
     for g in gammas:
@@ -153,13 +153,7 @@ def cmd_sweep(args) -> int:
             rows.append([float(g), int(res.certified), float(hinf)])
         except QhinfError:
             rows.append([float(g), 0, float("nan")])
-    header = ["gamma", "certified", "hinf"]
-    if args.out:
-        docio.write_csv(args.out, header, rows)
-    else:
-        sys.stdout.write(",".join(header) + "\n")
-        for row in rows:
-            sys.stdout.write(f"{row[0]!r},{row[1]},{row[2]!r}\n")
+    _emit(docio.csv_text(["gamma", "certified", "hinf"], rows), args.out)
     return 0 if any(r[1] for r in rows) else 2
 
 
@@ -175,20 +169,12 @@ def cmd_freqresp(args) -> int:
         D = np.zeros((C.shape[0], B.shape[1]))
     else:
         raise docio.DocumentError("freqresp does not apply to this document kind")
+    if not (args.wmin > 0 and args.wmax > 0):
+        raise ParameterError("--wmin and --wmax must be positive")
     ws = np.geomspace(args.wmin, args.wmax, args.points)
-    nsv = min(np.atleast_2d(C).shape[0], np.atleast_2d(B).shape[1])
-    rows = []
-    for w in ws:
-        sv = np.linalg.svd(linalg.transfer_value(A, B, C, D, 1j * float(w)),
-                           compute_uv=False)
-        rows.append([float(w)] + [float(s) for s in sv])
-    header = ["omega"] + [f"sigma{i+1}" for i in range(nsv)]
-    if args.out:
-        docio.write_csv(args.out, header, rows)
-    else:
-        sys.stdout.write(",".join(header) + "\n")
-        for row in rows:
-            sys.stdout.write(",".join(repr(v) for v in row) + "\n")
+    sv = linalg.Response(A, B, C, D, opts).singular_values(ws)
+    header = ["omega"] + [f"sigma{i+1}" for i in range(sv.shape[1])]
+    _emit(docio.csv_text(header, np.column_stack([ws, sv]).tolist()), args.out)
     return 0
 
 
@@ -202,8 +188,9 @@ def _compare(name: str, got, want, tol: float = 1e-8) -> tuple[str, bool]:
 def cmd_example(args) -> int:
     opts = _options()
     lines = []
+    gamma = {} if args.gamma is None else {"gamma": args.gamma}
     if args.device == "cavity":
-        spec = devices.CavitySpec(args.k1, args.k2, args.gamma or 0.6)
+        spec = devices.CavitySpec(args.k1, args.k2, **gamma)
         plant = devices.build_cavity(spec, opts)
         res = synthesize_passive(plant, opts)
         ref = devices.cavity_reference(spec)
@@ -225,7 +212,7 @@ def cmd_example(args) -> int:
                      f"(closed form {ref['gamma_star']:.10g})")
         doc = docio.document_for(plant)
     else:
-        spec = devices.DpaSpec(args.kw, args.ku, args.eps, args.gamma or 1.0)
+        spec = devices.DpaSpec(args.kw, args.ku, args.eps, **gamma)
         plant = devices.build_dpa(spec, opts)
         res = synthesize(plant, opts)
         lines.append(f"dpa kappa_w={spec.kappa_w} kappa_u={spec.kappa_u} "

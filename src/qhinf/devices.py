@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StructureError
+from .errors import StructureError, positive_gamma
 from .options import DEFAULT, NumericOptions
 from .passive import PassivePlant, build_passive_plant
 from .plant import HinfPlant, build_plant
@@ -38,8 +38,7 @@ class CavitySpec:
     def __post_init__(self):
         if not (self.kappa2 > self.kappa1 > 0):
             raise StructureError("cavity requires kappa2 > kappa1 > 0")
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
+        positive_gamma(self.gamma)
 
 
 def build_cavity(spec: CavitySpec, opts: NumericOptions = DEFAULT) -> PassivePlant:
@@ -141,8 +140,7 @@ class DpaSpec:
         if abs(self.kappa_u - self.epsilon - self.kappa_w) < 1e-12:
             raise StructureError(
                 "kappa_u = epsilon + kappa_w is degenerate (singular generator)")
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
+        positive_gamma(self.gamma)
 
     @property
     def case(self) -> str:

@@ -183,7 +183,7 @@ def document_for(obj, gamma: float | None = None) -> SystemDocument:
     raise DocumentError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def csv_text(header: list[str], rows: list[list]) -> str:
     def fmt(x):
         if isinstance(x, (bool, np.bool_)) or isinstance(x, (int, np.integer)):
             return str(int(x))
@@ -191,7 +191,9 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> None:
             return repr(float(x))
         return str(x)
 
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(x) for x in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    lines = [",".join(header)] + [",".join(fmt(x) for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def write_csv(path: str, header: list[str], rows: list[list]) -> None:
+    atomic_write_text(path, csv_text(header, rows))

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one gamma check."""
 
 
 class QhinfError(Exception):
@@ -7,6 +7,17 @@ class QhinfError(Exception):
 
 class DimensionError(QhinfError, ValueError):
     """Array shapes are inconsistent with the requested operation."""
+
+
+class ParameterError(QhinfError, ValueError):
+    """A scalar parameter (gamma, a frequency) is outside its domain."""
+
+
+def positive_gamma(gamma: float) -> float:
+    """The attenuation target gamma, checked to be a positive number."""
+    if not gamma > 0:
+        raise ParameterError(f"gamma must be positive, got {gamma!r}")
+    return gamma
 
 
 class StructureError(QhinfError, ValueError):

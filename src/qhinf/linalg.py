@@ -2,10 +2,10 @@
 
 Thin, checked wrappers around numpy/scipy factorizations plus the solvers
 the pipeline is built on: a Bartels-Stewart Lyapunov solver (one Schur form
-and LAPACK trsyl, O(n^3)), a level-set H-infinity norm (a few Hamiltonian
-eigenvalue tests) and a frequency-grid cross-check evaluated from one
-eigendecomposition.  Everything works on complex input; real input stays
-real where the contract promises it.
+and LAPACK trsyl, O(n^3)), Response, the one evaluator of the frequency
+response G(s), a level-set H-infinity norm (a few Hamiltonian eigenvalue
+tests) and a frequency-grid cross-check.  Everything works on complex
+input; real input stays real where the contract promises it.
 """
 
 from dataclasses import dataclass
@@ -209,32 +209,27 @@ def ordered_schur_split(A: np.ndarray, opts: NumericOptions = DEFAULT) -> SchurS
 # ---------------------------------------------------------------------------
 
 # byte size of the complex work array of one batch of frequencies; the
-# 2000-point grid runs in such batches so that it adds no measurable memory
+# grid runs in such batches so that it adds no measurable memory
 _BATCH_BYTES = 2**16
+# log-spaced probe frequencies of the grid (w = 0 and |Im lambda| are added)
+_N_GRID = 2000
 # the level-set iteration converges quadratically, in a handful of levels;
 # the cap bounds a Hamiltonian that keeps an eigenvalue on the axis at every
 # level (a pole within split_tol of it)
 _MAX_LEVELS = 50
 
 
-def transfer_value(A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray,
-                   s: complex) -> np.ndarray:
-    """Evaluate C (sI - A)^{-1} B + D at a single complex frequency."""
-    n = A.shape[0]
-    if n == 0:
-        return np.asarray(D, dtype=complex)
-    return C @ np.linalg.solve(s * np.eye(n) - A, B) + D
+class Response:
+    """Frequency response G(s) = C (sI - A)^{-1} B + D of one system, from
+    one eigendecomposition A = V diag(poles) V^{-1}:
 
-
-class _Response:
-    """Gains sigma_max G(i w) of G(s) = C (sI - A)^{-1} B + D for batches of
-    frequencies, from one eigendecomposition A = V diag(poles) V^{-1}:
-
-        G(i w) = (C V) diag(1 / (i w - poles)) (V^{-1} B) + D.
+        G(s) = (C V) diag(1 / (s - poles)) (V^{-1} B) + D.
 
     That form is accurate to about cond(V) eps.  When this exceeds
     residual_tol (A defective or nearly so) each frequency is an LU solve of
-    (i w I - A) instead.
+    (sI - A) instead.  Frequencies run in batches of about _BATCH_BYTES of
+    complex work array.  The norm, the grid, qls.transfer_matrix and
+    `qhinf freqresp` all evaluate G here.
     """
 
     def __init__(self, A, B, C, D, opts: NumericOptions = DEFAULT):
@@ -249,52 +244,63 @@ class _Response:
         if cond * np.finfo(float).eps <= opts.residual_tol:
             self.CV, self.VB = C @ V, Vinv @ B
 
-    def gains(self, omegas) -> np.ndarray:
-        omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    def _batches(self, s: np.ndarray):
+        """Yield (slice, G at the frequencies s[slice]) batch by batch."""
         n = self.A.shape[0]
         p, m = self.D.shape
         rows = n if self.CV is None else p
         step = max(1, _BATCH_BYTES // (16 * max(1, n * max(rows, m))))
-        out = np.empty(omegas.size)
-        for k in range(0, omegas.size, step):
-            s = 1j * omegas[k:k + step]
+        for k in range(0, s.size, step):
+            sk = s[k:k + step]
             if self.CV is None:
                 G = self.C @ np.linalg.solve(
-                    s[:, None, None] * np.eye(n) - self.A, self.B)
+                    sk[:, None, None] * np.eye(n) - self.A, self.B)
             else:
-                resolvent = 1.0 / (s[:, None] - self.poles)
+                resolvent = 1.0 / (sk[:, None] - self.poles)
                 G = (self.CV * resolvent[:, None, :]) @ self.VB
-            sv = np.linalg.svd(G + self.D, compute_uv=False)
-            out[k:k + step] = np.max(sv, axis=1, initial=0.0)
+            yield slice(k, k + step), G + self.D
+
+    def value(self, s: complex) -> np.ndarray:
+        """G(s) at one complex frequency."""
+        return next(self._batches(np.array([s], dtype=complex)))[1][0]
+
+    def singular_values(self, omegas) -> np.ndarray:
+        """Singular values of G(i w), in descending order, one row per w."""
+        s = 1j * np.atleast_1d(np.asarray(omegas, dtype=float))
+        out = np.empty((s.size, min(self.D.shape)))
+        for k, G in self._batches(s):
+            out[k] = np.linalg.svd(G, compute_uv=False)
         return out
+
+    def gains(self, omegas) -> np.ndarray:
+        """sigma_max G(i w) for each w."""
+        return np.max(self.singular_values(omegas), axis=1, initial=0.0)
 
 
 def gain_at(A, B, C, D, omega: float, opts: NumericOptions = DEFAULT) -> float:
-    """Largest singular value of the transfer matrix at s = i*omega (the
-    grid's batched evaluator at one frequency)."""
-    return float(_Response(A, B, C, D, opts).gains(omega)[0])
+    """sigma_max G(i omega), from the batched evaluator at one frequency."""
+    return float(Response(A, B, C, D, opts).gains(omega)[0])
 
 
-def _probe_frequencies(poles: np.ndarray, n_grid: int) -> np.ndarray:
+def _probe_frequencies(poles: np.ndarray) -> np.ndarray:
     lam = poles if poles.size else np.array([1.0 + 0j])
     mags = np.abs(lam)
     lo = max(1e-8, 1e-3 * float(np.min(mags[mags > 0], initial=1.0)))
     hi = max(10.0, 1e3 * float(np.max(mags, initial=1.0)))
-    grid = np.geomspace(lo, hi, n_grid)
+    grid = np.geomspace(lo, hi, _N_GRID)
     res = np.abs(lam.imag)
     return np.unique(np.concatenate([[0.0], grid, res[res > 0]]))
 
 
-def hinf_norm_grid(A, B, C, D, n_grid: int = 2000,
-                   opts: NumericOptions = DEFAULT) -> tuple[float, float]:
+def hinf_norm_grid(A, B, C, D, opts: NumericOptions = DEFAULT) -> tuple[float, float]:
     """Lower-bound the H-infinity norm on a dense log frequency grid.
 
     Returns (max gain, frequency achieving it).  Used as an independent
     cross-check of the level-set norm; the grid can only under-estimate.
     """
     A, B, C, D = map(np.asarray, (A, B, C, D))
-    resp = _Response(A, B, C, D, opts)
-    w = _probe_frequencies(resp.poles, n_grid)
+    resp = Response(A, B, C, D, opts)
+    w = _probe_frequencies(resp.poles)
     g = resp.gains(w)
     i = int(np.argmax(g))
     best = max_singular_value(D)
@@ -345,7 +351,7 @@ def hinf_norm(A, B, C, D, opts: NumericOptions = DEFAULT) -> float:
     """
     A, B, C, D = map(lambda M: np.atleast_2d(np.asarray(M)), (A, B, C, D))
     A = _as_square(A, "A")
-    resp = _Response(A, B, C, D, opts)
+    resp = Response(A, B, C, D, opts)
     if A.shape[0] and np.max(resp.poles.real) >= 0.0:
         raise NotHurwitzError("H-infinity norm requires a Hurwitz A")
     if A.shape[0] == 0 or B.size == 0 or C.size == 0:

@@ -16,7 +16,7 @@ import scipy.linalg as sla
 
 from . import linalg
 from .errors import (DimensionError, ImaginaryAxisError, StructureError,
-                     SynthesisError)
+                     SynthesisError, positive_gamma)
 from .linalg import SchurSplit
 from .options import DEFAULT, NumericOptions
 from .plant import copy_with_gamma
@@ -88,8 +88,7 @@ class PassivePlant:
             if np.linalg.norm(Dm @ Dm.conj().T - np.eye(Dm.shape[0])) > tol * max(
                     1, Dm.shape[0]):
                 raise StructureError(f"{name} must be unitary")
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
+        positive_gamma(self.gamma)
         g1 = 0.5 * self.C1.conj().T @ self.C1
         g2m = 0.5 * self.C2.conj().T @ self.C2
         self.A = -g1 - g2m

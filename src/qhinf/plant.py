@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, StructureError
+from .errors import DimensionError, StructureError, positive_gamma
 from .linalg import SchurSplit, ordered_schur_split
 from .options import DEFAULT, NumericOptions
 from .qls import j_symplectic, sharp_adjoint
@@ -89,8 +89,7 @@ class HinfPlant:
         for name, Dm in [("D12", self.D12), ("D21", self.D21)]:
             if np.linalg.norm(Dm.T @ Dm - np.eye(Dm.shape[0])) > tol * max(1, Dm.shape[0]):
                 raise StructureError(f"{name} must be orthogonal")
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
+        positive_gamma(self.gamma)
         JH = j_symplectic(nn // 2) @ self.Hmat
         half1 = 0.5 * sharp_adjoint(self.C1) @ self.C1
         half2 = 0.5 * sharp_adjoint(self.C2) @ self.C2
@@ -129,10 +128,8 @@ def copy_with_gamma(plant, gamma: float):
     and skips their construction and checks; no code writes to a plant's
     arrays in place.
     """
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
     out = copy.copy(plant)
-    out.gamma = gamma
+    out.gamma = positive_gamma(gamma)
     return out
 
 

@@ -254,10 +254,10 @@ def check_physical_realizability(ss: StateSpace,
 
 def transfer_matrix(ss: StateSpace, s: complex) -> np.ndarray:
     """Transfer matrix C (sI - A)^{-1} B + D at one complex frequency."""
-    lam = np.linalg.eigvals(ss.A) if ss.A.size else np.array([])
-    if lam.size and np.min(np.abs(lam - s)) < 1e-12 * max(1.0, abs(s)):
+    resp = linalg.Response(ss.A, ss.B, ss.C, ss.D)
+    if np.min(np.abs(resp.poles - s), initial=np.inf) < 1e-12 * max(1.0, abs(s)):
         raise ValueError(f"s = {s} is a pole of the system")
-    return linalg.transfer_value(ss.A, ss.B, ss.C, ss.D, s)
+    return resp.value(s)
 
 
 # ---------------------------------------------------------------------------

@@ -126,21 +126,17 @@ def assemble_xy(plant, split: SchurSplit, quad: LyapunovQuad, weights,
 
     X = W^H diag(0, (S - T/g^2)^-1) W and Y = adj(W^H diag((U - V/g^2)^-1, 0) W)
     / g^2 with the plant's adjoint.  Requires SmTg and UmVg positive definite
-    (see positivity).  Returns (X, Y, rho_xy, Riccati residuals, inverses),
-    where inverses holds (S - T/g^2)^-1 and (U - V/g^2)^-1, None for an
-    empty block.
+    (see positivity).  Returns (X, Y, rho_xy, Riccati residuals,
+    (U - V/g^2)^-1).
     """
     n = plant.A.shape[0]
     sd = split.n_stable
     W = split.W
-    SmTg_inv = np.linalg.inv(quad.SmTg) if quad.SmTg.size else None
-    UmVg_inv = np.linalg.inv(quad.UmVg) if quad.UmVg.size else None
+    UmVg_inv = np.linalg.inv(quad.UmVg)
     Xt = np.zeros((n, n), dtype=W.dtype)
     Yt = np.zeros((n, n), dtype=W.dtype)
-    if SmTg_inv is not None:
-        Xt[sd:, sd:] = SmTg_inv
-    if UmVg_inv is not None:
-        Yt[:sd, :sd] = UmVg_inv
+    Xt[sd:, sd:] = np.linalg.inv(quad.SmTg)
+    Yt[:sd, :sd] = UmVg_inv
     X = W.conj().T @ Xt @ W
     Y = plant.adjoint(W.conj().T @ Yt @ W) / plant.gamma ** 2
     X, Y = 0.5 * (X + X.conj().T), 0.5 * (Y + Y.conj().T)
@@ -152,7 +148,7 @@ def assemble_xy(plant, split: SchurSplit, quad: LyapunovQuad, weights,
         "are_residual_y": float(np.linalg.norm(
             plant.Ay @ Y + Y @ plant.Ay.conj().T + Y @ N @ Y)),
     }
-    return X, Y, linalg.spectral_radius(X @ Y), residuals, (SmTg_inv, UmVg_inv)
+    return X, Y, linalg.spectral_radius(X @ Y), residuals, UmVg_inv
 
 
 def _is_symmetric_regime(Ax: np.ndarray, Z: np.ndarray, opts: NumericOptions) -> bool:
@@ -165,7 +161,7 @@ def _is_symmetric_regime(Ax: np.ndarray, Z: np.ndarray, opts: NumericOptions) ->
 
 def certify(plant: HinfPlant, split: SchurSplit, quad: LyapunovQuad,
             X: np.ndarray, Y: np.ndarray, Z: np.ndarray, rho_xy: float, weights,
-            inverses, diagnostics: dict,
+            UmVg_inv, diagnostics: dict,
             opts: NumericOptions = DEFAULT) -> tuple[bool, bool, str]:
     """Decide whether the assembled (X, Y) certify the attenuation target.
 
@@ -175,13 +171,12 @@ def certify(plant: HinfPlant, split: SchurSplit, quad: LyapunovQuad,
     sigma_max((S-T/g^2)^{-1}) sigma_max((U-V/g^2)^{-1}) < g^2 is recorded;
     when Ax is symmetric and Z is (up to sign) the identity it is an exact
     characterization and the result is labeled "symmetric-iff", otherwise it
-    is only sufficient and rho(XY) rules.  inverses are assemble_xy's
-    (S - T/g^2)^-1 and (U - V/g^2)^-1.
+    is only sufficient and rho(XY) rules.  UmVg_inv is assemble_xy's
+    (U - V/g^2)^-1.
     Returns (certified, sigma_condition, regime).
     """
     g2 = plant.gamma ** 2
     ok, why = True, []
-    SmTg_inv, UmVg_inv = inverses
 
     # cross-block compatibility: the padded Y-candidate solves its Riccati
     # equation only when the off-diagonal blocks Y1 Ax2 (and its transpose)
@@ -213,14 +208,12 @@ def certify(plant: HinfPlant, split: SchurSplit, quad: LyapunovQuad,
     if not hurw_y:
         ok, why = False, why + ["Y is not stabilizing"]
 
-    # singular-value diagnostics; vacuous factors are 1 for empty blocks
-    f_x = linalg.max_singular_value(SmTg_inv) if quad.SmTg.size else 1.0
-    f_y = linalg.max_singular_value(UmVg_inv) if quad.UmVg.size else 1.0
+    # singular-value diagnostics: positivity passed, so sigma_max of each
+    # inverse is 1 / lambda_min; vacuous factors are 1 for empty blocks
+    f_x, f_y = (1.0 / np.linalg.eigvalsh(P)[0] if P.size else 1.0
+                for P in (quad.SmTg, quad.UmVg))
     sigma_condition = bool(f_x * f_y < g2) if (quad.SmTg.size and quad.UmVg.size) else True
     diagnostics["sigma_product"] = float(f_x * f_y)
-    diagnostics["sigma_product_direct"] = float(
-        (linalg.min_singular_value(quad.SmTg) if quad.SmTg.size else 1.0)
-        * (linalg.min_singular_value(quad.UmVg) if quad.UmVg.size else 1.0))
 
     regime = "symmetric-iff" if _is_symmetric_regime(plant.Ax, Z, opts) else "general"
     diagnostics["failure_reasons"] = why
@@ -265,12 +258,12 @@ def synthesize(plant: HinfPlant, opts: NumericOptions = DEFAULT) -> SynthesisRes
                                None, None, None, certified=False,
                                failure=failure)
     weights = riccati_weights(plant)
-    X, Y, rho_xy, diagnostics, inverses = assemble_xy(plant, split, quad,
+    X, Y, rho_xy, diagnostics, UmVg_inv = assemble_xy(plant, split, quad,
                                                       weights, opts)
     # Z = JJ W JJ^T W^T, written with the (sharp) adjoint
     Z = plant.adjoint(split.W.T) @ split.W.T
     certified, sigma_condition, regime = certify(
-        plant, split, quad, X, Y, Z, rho_xy, weights, inverses, diagnostics, opts)
+        plant, split, quad, X, Y, Z, rho_xy, weights, UmVg_inv, diagnostics, opts)
     controller = None
     if rho_xy < 1.0 - opts.pd_tol:   # the same margin as certify's gate
         controller = build_controller(plant, X, Y, opts)

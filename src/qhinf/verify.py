@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import linalg
-from .errors import OracleError
+from .errors import DimensionError, NotHurwitzError, OracleError
 from .options import DEFAULT, NumericOptions
 from .plant import HinfPlant
 from .synth import Controller
@@ -104,14 +104,20 @@ def close_loop(plant, controller: Controller,
     C1, C2 = plant.C1, plant.C2
     D12, D21 = plant.D12, plant.D21
     AK, BK, CK = controller.AK, controller.BK, controller.CK
-    if B2.shape[1] != CK.shape[0] or BK.shape[1] != C2.shape[0]:
-        raise ValueError("plant and controller channel dimensions do not match")
+    nk = AK.shape[0]
+    if (AK.shape != (nk, nk) or BK.shape != (nk, C2.shape[0])
+            or CK.shape != (B2.shape[1], nk)):
+        raise DimensionError(f"controller shapes AK {AK.shape}, BK {BK.shape}, "
+                             f"CK {CK.shape} do not fit the plant's channels")
     Acl = np.block([[A, B2 @ CK], [BK @ C2, AK]])
     Bcl = np.vstack([B1, BK @ D21])
     Ccl = np.hstack([C1, D12 @ CK])
     Dcl = np.zeros((Ccl.shape[0], Bcl.shape[1]))
-    stable = linalg.is_hurwitz(Acl)
-    hinf = linalg.hinf_norm(Acl, Bcl, Ccl, Dcl, opts) if stable else float("inf")
+    # internally stable iff max Re lambda(Acl) < 0: the norm's own pole test
+    try:
+        hinf, stable = linalg.hinf_norm(Acl, Bcl, Ccl, Dcl, opts), True
+    except NotHurwitzError:
+        hinf, stable = float("inf"), False
     return ClosedLoop(Acl, Bcl, Ccl, Dcl, stable, hinf)
 
 

@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from conftest import on_axis_plants, random_passive_plant, random_sym_plant
-from qhinf import devices
+from conftest import (on_axis_plants, random_passive_plant, random_slh_model,
+                      random_sym_plant)
+from qhinf import devices, qls
 from qhinf.cli import PROFILES, main
 from qhinf.docio import (DocumentError, SystemDocument, atomic_write_text,
                          complex_to_pairs, document_for, instantiate,
@@ -152,6 +153,27 @@ class TestCli:
         assert lines[0].startswith("omega,")
         assert len(lines) == 17
 
+    def test_freqresp_matches_per_frequency_solve(self, rng, tmp_path):
+        # each row against its own LU solve and SVD, on the disturbance-to-
+        # performance map of a plant and on an SLH model's doubled-up system
+        plant = random_sym_plant(rng, n_modes=3)
+        D0 = np.zeros((plant.C1.shape[0], plant.B1.shape[1]))
+        model = random_slh_model(rng, n=3, m=2)
+        ss = qls.build_complex_system(model)
+        for obj, (A, B, C, D) in [(plant, (plant.A, plant.B1, plant.C1, D0)),
+                                  (model, (ss.A, ss.B, ss.C, ss.D))]:
+            path = str(tmp_path / "doc.json")
+            out_path = str(tmp_path / "fr.csv")
+            save_document(document_for(obj), path)
+            assert main(["freqresp", path, "--wmin", "0.05", "--wmax", "20",
+                         "--points", "40", "--out", out_path]) == 0
+            rows = np.loadtxt(out_path, delimiter=",", skiprows=1)
+            assert rows.shape == (40, 1 + min(D.shape))
+            for w, *sv in rows:
+                G = C @ np.linalg.solve(1j * w * np.eye(A.shape[0]) - A, B) + D
+                want = np.linalg.svd(G, compute_uv=False)
+                assert np.max(np.abs(np.array(sv) - want)) <= 1e-12 * want[0]
+
     def test_verify_round_trip(self, rng, tmp_path, capsys):
         path = self.write_plant(rng, tmp_path)
         ctl_path = str(tmp_path / "controller.json")
@@ -199,3 +221,27 @@ class TestCli:
     def test_missing_file_exit_one(self, capsys):
         assert main(["synthesize", "/nonexistent/plant.json"]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["synthesize", "{dpa}", "--gamma", "-1"],
+        ["verify", "{dpa}", "{ctl}", "--gamma", "-1"],
+        ["sweep-gamma", "{dpa}", "--min", "-1", "--max", "2", "--steps", "3"],
+        ["example", "dpa", "--gamma", "-1"],
+        ["example", "cavity", "--gamma", "0"],
+        ["verify", "{dpa}", "{ctl3}"],
+        ["freqresp", "{dpa}", "--wmin", "0"],
+    ])
+    def test_invalid_input_exit_one(self, argv, tmp_path, capsys):
+        spec = devices.DpaSpec(2.0, 4.0, 1.0, 1.5)
+        ctl = synthesize(devices.build_dpa(spec)).controller
+        paths = {name: str(tmp_path / f"{name}.json")
+                 for name in ("dpa", "ctl", "ctl3")}
+        save_document(SystemDocument("dpa", {}, params={
+            "kappa_w": 2.0, "kappa_u": 4.0, "epsilon": 1.0}, gamma=1.5),
+            paths["dpa"])
+        save_document(document_for(ctl), paths["ctl"])
+        # a 3-state drift with the DPA controller's 2-state input/output maps
+        save_document(SystemDocument("controller", {
+            "AK": -np.eye(3), "BK": ctl.BK, "CK": ctl.CK}), paths["ctl3"])
+        assert main([a.format(**paths) for a in argv]) == 1
+        assert capsys.readouterr().err.startswith("error:")

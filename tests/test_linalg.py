@@ -13,7 +13,7 @@ from qhinf.linalg import (gain_at, hinf_norm, hinf_norm_grid,
                           is_hurwitz, is_positive_definite,
                           is_positive_semidefinite, max_singular_value,
                           min_singular_value, ordered_schur_split,
-                          solve_lyapunov, spectral_radius, transfer_value)
+                          solve_lyapunov, spectral_radius)
 from qhinf.options import DEFAULT
 from qhinf.synth import synthesize
 from qhinf.verify import close_loop
@@ -227,8 +227,8 @@ class TestHinfNorm:
         plant = random_sym_plant(rng, 6, gamma=2.0)
         cl = close_loop(plant, synthesize(plant).controller)
         lu = DEFAULT.override(residual_tol=0.0)
-        assert linalg._Response(cl.A, cl.B, cl.C, cl.D, lu).CV is None
-        assert linalg._Response(cl.A, cl.B, cl.C, cl.D).CV is not None
+        assert linalg.Response(cl.A, cl.B, cl.C, cl.D, lu).CV is None
+        assert linalg.Response(cl.A, cl.B, cl.C, cl.D).CV is not None
         g_eig, w_eig = hinf_norm_grid(cl.A, cl.B, cl.C, cl.D)
         g_lu, w_lu = hinf_norm_grid(cl.A, cl.B, cl.C, cl.D, opts=lu)
         assert g_lu == pytest.approx(g_eig, rel=1e-12)
@@ -237,10 +237,15 @@ class TestHinfNorm:
                 gain_at(cl.A, cl.B, cl.C, cl.D, w), rel=1e-12)
 
     def test_transfer_value(self):
+        # G(s) = 0.5 + 2 / (s + 1) on both routes of the one evaluator, at
+        # complex frequencies and on the axis
         A = np.array([[-1.0]])
         B = np.array([[2.0]])
         C = np.array([[1.0]])
         D = np.array([[0.5]])
-        s = 1j * 3.0
-        expected = 0.5 + 2.0 / (s + 1.0)
-        assert transfer_value(A, B, C, D, s)[0, 0] == pytest.approx(expected)
+        for opts in (DEFAULT, DEFAULT.override(residual_tol=0.0)):
+            resp = linalg.Response(A, B, C, D, opts)
+            for s in (3.0j, 0.5 - 2.0j):
+                expected = 0.5 + 2.0 / (s + 1.0)
+                assert resp.value(s)[0, 0] == pytest.approx(expected)
+            assert resp.gains([3.0])[0] == pytest.approx(abs(0.5 + 2.0 / (1.0 + 3.0j)))

@@ -162,6 +162,11 @@ class TestTransferIdentities:
         Gm = transfer_matrix(ss, -np.conj(s))
         assert np.allclose(sharp_adjoint(Gm) @ G, np.eye(G.shape[0]), atol=1e-8)
 
+    def test_refuses_a_pole(self, rng):
+        ss = build_complex_system(random_slh_model(rng))
+        with pytest.raises(ValueError, match="pole"):
+            transfer_matrix(ss, np.linalg.eigvals(ss.A)[0])
+
 
 class TestStabilityMinimality:
     @settings(max_examples=40, deadline=None)

@@ -154,6 +154,31 @@ class TestCertification:
         assert is_hurwitz(plant.Ay + res.Y @ N)
 
 
+class TestSigmaDiagnostics:
+    def test_sigma_product_matches_svd(self):
+        # sigma_max((S - T/g^2)^-1) sigma_max((U - V/g^2)^-1), each factor 1
+        # for an empty block, from an SVD of the two inverses
+        rng = np.random.default_rng(20)
+        checked, verdicts = 0, set()
+        while checked < 20:
+            plant = random_sym_plant(rng, int(rng.integers(1, 4)),
+                                     gamma=float(rng.uniform(0.5, 3.0)))
+            res = synthesize(plant)
+            if "sigma_product" not in res.diagnostics:
+                continue   # refused by positivity before the certificate
+            checked += 1
+            blocks = [P for P in (res.quad.SmTg, res.quad.UmVg) if P.size]
+            want = np.prod([np.linalg.svd(np.linalg.inv(P), compute_uv=False)[0]
+                            for P in blocks])
+            assert res.diagnostics["sigma_product"] == pytest.approx(want, rel=1e-12)
+            if len(blocks) == 2:
+                verdicts.add(res.sigma_condition)
+                assert res.sigma_condition == bool(want < plant.gamma ** 2)
+            else:
+                assert res.sigma_condition is True
+        assert verdicts == {True, False}
+
+
 class TestRegimeLabel:
     def test_symmetric_label_possible(self, rng):
         # scan a few draws; the symmetric-structure label appears whenever

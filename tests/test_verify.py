@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_sym_plant
-from qhinf.errors import OracleError
+from qhinf.errors import DimensionError, OracleError
 from qhinf.linalg import is_hurwitz
 from qhinf.plant import build_plant
 from qhinf.synth import synthesize
@@ -59,7 +59,7 @@ class TestClosedLoop:
         other = build_plant(np.zeros((2, 2)), np.sqrt(2.5) * np.eye(2),
                             np.sqrt(2.0) * np.eye(2), np.eye(2), np.eye(2), 1.5)
         ctl = synthesize(other).controller
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionError):
             close_loop(plant, ctl)
 
     def test_certificate_margin(self, rng):
