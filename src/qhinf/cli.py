@@ -65,9 +65,8 @@ def cmd_check(args) -> int:
         lines.append(f"passive              : {qls.is_passive(obj)}")
     elif isinstance(obj, (HinfPlant, PassivePlant)):
         if isinstance(obj, HinfPlant):
-            # build_plant has already refused a plant whose residuals fail
-            r1, r2 = obj.pr_residuals()
-            lines.append(f"PR (joint plant)     : residuals {r1:.3e} / {r2:.3e} -> ok")
+            # build_plant has already refused a plant whose residual fails
+            lines.append(f"PR (joint plant)     : residual {obj.pr_residual():.3e} -> ok")
             lines.append("stabilizability/detectability (A1/A2): structural, ok")
         try:
             spectral = f"ok (min |Re lambda(Ax)| = {obj.split(opts).min_abs_real:.3e})"
@@ -142,17 +141,21 @@ def cmd_sweep(args) -> int:
     doc = docio.load_document(args.path)
     positive_gamma(min(args.min, args.max))
     gammas = np.linspace(args.min, args.max, args.steps)
+    # built once, at the first target; with_gamma reaches the others
+    plant = docio.instantiate(doc, gamma=args.min, opts=opts)
+    if not isinstance(plant, (HinfPlant, PassivePlant)):
+        raise docio.DocumentError("sweep-gamma does not apply to this document kind")
     rows = []
-    for g in gammas:
+    for g in map(float, gammas):
         try:
-            plant = docio.instantiate(doc, gamma=float(g), opts=opts)
-            res = _synthesize_any(plant, opts)
+            at_g = plant.with_gamma(g)
+            res = _synthesize_any(at_g, opts)
             hinf = float("nan")
-            if res.certified and res.controller is not None:
-                hinf = close_loop(plant, res.controller, opts).hinf
-            rows.append([float(g), int(res.certified), float(hinf)])
+            if res.certified:   # one rho(XY) margin gates it and the controller
+                hinf = close_loop(at_g, res.controller, opts).hinf
+            rows.append([g, int(res.certified), hinf])
         except QhinfError:
-            rows.append([float(g), 0, float("nan")])
+            rows.append([g, 0, float("nan")])
     _emit(docio.csv_text(["gamma", "certified", "hinf"], rows), args.out)
     return 0 if any(r[1] for r in rows) else 2
 
@@ -172,7 +175,9 @@ def cmd_freqresp(args) -> int:
     if not (args.wmin > 0 and args.wmax > 0):
         raise ParameterError("--wmin and --wmax must be positive")
     ws = np.geomspace(args.wmin, args.wmax, args.points)
-    sv = linalg.Response(A, B, C, D, opts).singular_values(ws)
+    resp = linalg.Response(A, B, C, D, opts)
+    qls.refuse_poles(resp, 1j * ws)
+    sv = resp.singular_values(ws)
     header = ["omega"] + [f"sigma{i+1}" for i in range(sv.shape[1])]
     _emit(docio.csv_text(header, np.column_stack([ws, sv]).tolist()), args.out)
     return 0

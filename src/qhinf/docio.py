@@ -148,14 +148,16 @@ def instantiate(doc: SystemDocument, gamma: float | None = None,
             raise DocumentError("passive_plant document needs gamma")
         return build_passive_plant(m["C1"], m["C2"], m.get("D12"), m.get("D21"),
                                    g, opts=opts)
+    # a device document without gamma builds at its spec's default
+    spec_gamma = {} if g is None else {"gamma": g}
     if doc.kind == "cavity":
         p = doc.params
-        return build_cavity(CavitySpec(p["kappa1"], p["kappa2"],
-                                       g if g is not None else 0.6), opts=opts)
+        return build_cavity(CavitySpec(p["kappa1"], p["kappa2"], **spec_gamma),
+                            opts=opts)
     if doc.kind == "dpa":
         p = doc.params
         return build_dpa(DpaSpec(p["kappa_w"], p["kappa_u"], p["epsilon"],
-                                 g if g is not None else 1.0), opts=opts)
+                                 **spec_gamma), opts=opts)
     if doc.kind == "controller":
         _require(doc, ("AK", "BK", "CK"))
         return {k: doc.matrices[k] for k in ("AK", "BK", "CK")}

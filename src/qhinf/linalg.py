@@ -53,21 +53,6 @@ def is_hurwitz(A: np.ndarray) -> bool:
     return bool(np.max(np.linalg.eigvals(A).real) < 0.0)
 
 
-def is_positive_definite(M: np.ndarray, opts: NumericOptions = DEFAULT) -> bool:
-    """Hermitian positive definiteness via the eigenvalue spectrum.
-
-    Non-Hermitian input (beyond struct_tol) is rejected as False rather than
-    silently symmetrized.
-    """
-    M = _as_square(M, "M")
-    if M.shape[0] == 0:
-        return True
-    scale = max(1.0, float(np.linalg.norm(M)))
-    if np.linalg.norm(M - M.conj().T) > opts.struct_tol * scale:
-        return False
-    return bool(np.min(np.linalg.eigvalsh(M)) > opts.pd_tol * scale)
-
-
 def is_positive_semidefinite(M: np.ndarray, opts: NumericOptions = DEFAULT) -> bool:
     M = _as_square(M, "M")
     if M.shape[0] == 0:
@@ -164,12 +149,23 @@ def _near_axis(min_re: float) -> ImaginaryAxisError:
         "(standing assumptions violated)")
 
 
+def axis_margin(lam: np.ndarray, opts: NumericOptions = DEFAULT) -> float:
+    """min |Re lambda| of the spectrum lam (inf if empty), for both plants'
+    splits.  Raises ImaginaryAxisError, naming it, when it is within
+    split_tol of max(1, max |lambda|): the split is then ill-defined."""
+    if not lam.size:
+        return np.inf
+    min_re = float(np.min(np.abs(lam.real)))
+    if min_re <= opts.split_tol * max(1.0, float(np.max(np.abs(lam)))):
+        raise _near_axis(min_re)
+    return min_re
+
+
 def ordered_schur_split(A: np.ndarray, opts: NumericOptions = DEFAULT) -> SchurSplit:
     """Split a real matrix into stable and anti-stable invariant subspaces.
 
-    Raises ImaginaryAxisError, naming min |Re lambda|, if any eigenvalue has
-    |Re lambda| below split_tol relative to the spectral scale, since the
-    split is then ill-defined.
+    Raises ImaginaryAxisError, naming min |Re lambda|, when axis_margin
+    refuses the spectrum or the reordering fails on it.
     """
     A = _as_square(A, "A")
     if not np.isrealobj(A):
@@ -186,11 +182,7 @@ def ordered_schur_split(A: np.ndarray, opts: NumericOptions = DEFAULT) -> SchurS
         # reordering fails when rounding flips the sign of a real part
         lam = _quasi_triangular_eigenvalues(sla.schur(A, output="real")[0])
         raise _near_axis(float(np.min(np.abs(lam.real)))) from exc
-    lam = _quasi_triangular_eigenvalues(T)
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    min_re = float(np.min(np.abs(lam.real)))
-    if min_re <= opts.split_tol * scale:
-        raise _near_axis(min_re)
+    min_re = axis_margin(_quasi_triangular_eigenvalues(T), opts)
     # T[sdim:, :sdim] is zero by construction: a sorted real Schur form
     # never splits a 2x2 block across sdim
     return SchurSplit(

@@ -15,8 +15,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import linalg
-from .errors import (DimensionError, ImaginaryAxisError, StructureError,
-                     SynthesisError, positive_gamma)
+from .errors import (DimensionError, StructureError, SynthesisError,
+                     positive_gamma)
 from .linalg import SchurSplit
 from .options import DEFAULT, NumericOptions
 from .plant import copy_with_gamma
@@ -54,18 +54,13 @@ class PassivePlant:
 
         Returns the split with W Ax W^H = diag(lam): diagonal stable and
         anti-stable blocks and a zero coupling block A12.  This is the
-        plant's one test of the spectral assumption (A3/A4): it raises
+        plant's one test of the spectral assumption (A3/A4), made by
+        linalg.axis_margin as for the general split: it raises
         ImaginaryAxisError, an AssumptionError, when an eigenvalue sits
         within split_tol of zero (the split is then ill-defined).
         """
         lam, Q = np.linalg.eigh(self.Ax)   # ascending: stable block first
-        scale = max(1.0, float(np.max(np.abs(lam))) if lam.size else 1.0)
-        min_re = float(np.min(np.abs(lam))) if lam.size else np.inf
-        if min_re <= opts.split_tol * scale:
-            raise ImaginaryAxisError(
-                "passive shifted generator is (numerically) singular "
-                f"(min |Re lambda| = {min_re:.3e}); the attenuation problem "
-                "is ill-posed")
+        min_re = linalg.axis_margin(lam, opts)
         sd, n = int(np.sum(lam < 0)), lam.size
         return SchurSplit(W=Q.conj().T, A11=np.diag(lam[:sd]),
                           A12=np.zeros((sd, n - sd)), A22=np.diag(lam[sd:]),
@@ -127,7 +122,7 @@ def synthesize_passive(plant: PassivePlant,
     """
     split = plant.split(opts)
     quad = solve_quad(plant, split, opts)
-    diagnostics, failure = positivity(quad, opts)
+    diagnostics, failure, _ = positivity(quad.SmTg, quad.UmVg, opts)
     if failure:
         return SynthesisResult(plant.gamma, None, quad, None, None, None,
                                0.0, False, None, certified=False,
@@ -163,17 +158,18 @@ def passive_gamma_threshold(plant: PassivePlant,
                             opts: NumericOptions = DEFAULT) -> PassiveThreshold:
     """gamma* with S - T/g^2 > 0 and U - V/g^2 > 0 exactly for g > gamma*."""
     quad = solve_quad(plant, plant.split(opts), opts)
+    # S and U are the two blocks at gamma = infinity
+    flags, _, _ = positivity(quad.S, quad.U, opts)
+    if not all(flags.values()):
+        raise SynthesisError(
+            "degenerate Lyapunov pair: the forced block is not positive "
+            "definite, threshold undefined")
 
     def block_threshold(num, den):
         # largest t with den - num/t^2 losing definiteness: t^2 = lam_max(num, den)
         if not den.size:
             return 0.0
-        if not linalg.is_positive_definite(den, opts):
-            raise SynthesisError(
-                "degenerate Lyapunov pair: the forced block is not positive "
-                "definite, threshold undefined")
-        vals = sla.eigvalsh(num, den)
-        return float(max(0.0, np.max(vals.real)))
+        return float(max(0.0, np.max(sla.eigvalsh(num, den).real)))
 
     t_x = block_threshold(quad.T, quad.S)
     t_y = block_threshold(quad.V, quad.U)

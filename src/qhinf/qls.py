@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import linalg
-from .errors import DimensionError, StructureError
+from .errors import DimensionError, ParameterError, StructureError
 from .options import DEFAULT, NumericOptions
 
 
@@ -252,11 +252,22 @@ def check_physical_realizability(ss: StateSpace,
     return PrReport(r1, r2, passed)
 
 
+def refuse_poles(resp: linalg.Response, s) -> None:
+    """Raise ParameterError naming the first complex frequency of s that is
+    within 1e-12 max(1, |s|) of a pole of resp."""
+    s = np.atleast_1d(s)
+    gap = np.full(s.shape, np.inf)
+    for pole in resp.poles:   # one pass per pole: memory O(len(s)), not O(len(s) n)
+        gap = np.minimum(gap, np.abs(s - pole))
+    hit = s[gap < 1e-12 * np.maximum(1.0, np.abs(s))]
+    if hit.size:
+        raise ParameterError(f"s = {hit[0]} is a pole of the system")
+
+
 def transfer_matrix(ss: StateSpace, s: complex) -> np.ndarray:
     """Transfer matrix C (sI - A)^{-1} B + D at one complex frequency."""
     resp = linalg.Response(ss.A, ss.B, ss.C, ss.D)
-    if np.min(np.abs(resp.poles - s), initial=np.inf) < 1e-12 * max(1.0, abs(s)):
-        raise ValueError(f"s = {s} is a pole of the system")
+    refuse_poles(resp, s)
     return resp.value(s)
 
 

@@ -102,15 +102,20 @@ def solve_quad(plant, split: SchurSplit,
     return LyapunovQuad(S, T, U, V, S - T / g2, U - V / g2)
 
 
-def positivity(quad: LyapunovQuad, opts: NumericOptions = DEFAULT) -> tuple[dict, str]:
-    """Flags for S - T/gamma^2 > 0 and U - V/gamma^2 > 0 (an empty block
-    passes), and the refusal naming every block that fails ("" if none)."""
-    blocks = {"smtg_pd": ("S - T/gamma^2", quad.SmTg),
-              "umvg_pd": ("U - V/gamma^2", quad.UmVg)}
-    flags = {key: bool(not P.size or linalg.is_positive_definite(P, opts))
-             for key, (_, P) in blocks.items()}
-    bad = [blocks[key][0] for key, ok in flags.items() if not ok]
-    return flags, " and ".join(bad) + " not positive definite" if bad else ""
+def positivity(SmTg: np.ndarray, UmVg: np.ndarray,
+               opts: NumericOptions = DEFAULT) -> tuple[dict, str, tuple]:
+    """Decide S - T/gamma^2 > 0 and U - V/gamma^2 > 0, each by one eigvalsh:
+    lambda_min > pd_tol max(1, ||block||_F).  solve_lyapunov's blocks are
+    exactly Hermitian.  Returns the flags (an empty block passes), the
+    refusal naming every failing block ("" if none) and the two lambda_min
+    (inf for an empty block), which certify's sigma short-cut reads."""
+    lam_min = tuple(float(np.linalg.eigvalsh(P)[0]) if P.size else np.inf
+                    for P in (SmTg, UmVg))
+    flags = {key: bool(lam > opts.pd_tol * max(1.0, float(np.linalg.norm(P))))
+             for key, lam, P in zip(("smtg_pd", "umvg_pd"), lam_min, (SmTg, UmVg))}
+    bad = [name for name, ok in zip(("S - T/gamma^2", "U - V/gamma^2"),
+                                    flags.values()) if not ok]
+    return flags, " and ".join(bad) + " not positive definite" if bad else "", lam_min
 
 
 def riccati_weights(plant) -> tuple[np.ndarray, np.ndarray]:
@@ -159,65 +164,55 @@ def _is_symmetric_regime(Ax: np.ndarray, Z: np.ndarray, opts: NumericOptions) ->
     return bool(sym and z_id <= opts.struct_tol * n2)
 
 
-def certify(plant: HinfPlant, split: SchurSplit, quad: LyapunovQuad,
-            X: np.ndarray, Y: np.ndarray, Z: np.ndarray, rho_xy: float, weights,
-            UmVg_inv, diagnostics: dict,
-            opts: NumericOptions = DEFAULT) -> tuple[bool, bool, str]:
+def certify(plant: HinfPlant, split: SchurSplit, lam_min: tuple,
+            X: np.ndarray, Y: np.ndarray, Z: np.ndarray, rho_xy: float,
+            rho_ok: bool, weights, UmVg_inv,
+            opts: NumericOptions = DEFAULT) -> tuple[bool, bool, str, dict]:
     """Decide whether the assembled (X, Y) certify the attenuation target.
 
-    The operative conditions are the direct ones: rho(XY) < 1 - pd_tol,
+    The operative conditions are the direct ones: rho(XY) < 1 - pd_tol
+    (rho_ok, the caller's verdict, which also gates the controller),
     cross-block compatibility, and Hurwitz stability of the two loop
     matrices Ax + M X and Ay + Y N.  The singular-value short-cut
     sigma_max((S-T/g^2)^{-1}) sigma_max((U-V/g^2)^{-1}) < g^2 is recorded;
     when Ax is symmetric and Z is (up to sign) the identity it is an exact
     characterization and the result is labeled "symmetric-iff", otherwise it
-    is only sufficient and rho(XY) rules.  UmVg_inv is assemble_xy's
-    (U - V/g^2)^-1.
-    Returns (certified, sigma_condition, regime).
+    is only sufficient and rho(XY) rules.  lam_min is positivity's pair of
+    smallest eigenvalues, UmVg_inv is assemble_xy's (U - V/g^2)^-1.
+    Returns (certified, sigma_condition, regime, diagnostics).
     """
     g2 = plant.gamma ** 2
-    ok, why = True, []
+    # X and Y need no PSD test: each is congruent to a PD block (positivity
+    # passed) padded with zeros
+    why = [] if rho_ok else [f"rho(XY) = {rho_xy:.12g} >= 1 - pd_tol"]
 
     # cross-block compatibility: the padded Y-candidate solves its Riccati
     # equation only when the off-diagonal blocks Y1 Ax2 (and its transpose)
-    # vanish, i.e. the coupling block must be annihilated
-    if split.A12.size:
-        c1 = np.linalg.norm(UmVg_inv @ split.A12)
-        diagnostics["compat_residual"] = float(
-            c1 / ((1.0 + np.linalg.norm(UmVg_inv))
-                  * (1.0 + np.linalg.norm(split.A11) + np.linalg.norm(split.A22))))
-        diagnostics["cross_block_norm"] = float(np.linalg.norm(split.A12))
-    else:
-        diagnostics["compat_residual"] = 0.0
-        diagnostics["cross_block_norm"] = 0.0
-
-    # X and Y need no PSD test: each is congruent to a PD block (positivity
-    # passed) padded with zeros
-    if rho_xy >= 1.0 - opts.pd_tol:
-        ok, why = False, why + [f"rho(XY) = {rho_xy:.12g} >= 1 - pd_tol"]
-    if diagnostics["compat_residual"] > opts.residual_tol:
-        ok, why = False, why + ["cross-block compatibility equation fails"]
+    # vanish, i.e. the coupling block must be annihilated (empty: 0)
+    compat = float(np.linalg.norm(UmVg_inv @ split.A12)
+                   / ((1.0 + np.linalg.norm(UmVg_inv))
+                      * (1.0 + np.linalg.norm(split.A11) + np.linalg.norm(split.A22))))
+    diagnostics = {"compat_residual": compat,
+                   "cross_block_norm": float(np.linalg.norm(split.A12))}
+    if compat > opts.residual_tol:
+        why.append("cross-block compatibility equation fails")
 
     M, N = weights
-    hurw_x = linalg.is_hurwitz(plant.Ax + M @ X)
-    hurw_y = linalg.is_hurwitz(plant.Ay + Y @ N)
-    diagnostics["loop_x_hurwitz"] = hurw_x
-    diagnostics["loop_y_hurwitz"] = hurw_y
-    if not hurw_x:
-        ok, why = False, why + ["X is not stabilizing"]
-    if not hurw_y:
-        ok, why = False, why + ["Y is not stabilizing"]
+    for name, loop in (("X", plant.Ax + M @ X), ("Y", plant.Ay + Y @ N)):
+        hurwitz = diagnostics[f"loop_{name.lower()}_hurwitz"] = linalg.is_hurwitz(loop)
+        if not hurwitz:
+            why.append(f"{name} is not stabilizing")
 
     # singular-value diagnostics: positivity passed, so sigma_max of each
     # inverse is 1 / lambda_min; vacuous factors are 1 for empty blocks
-    f_x, f_y = (1.0 / np.linalg.eigvalsh(P)[0] if P.size else 1.0
-                for P in (quad.SmTg, quad.UmVg))
-    sigma_condition = bool(f_x * f_y < g2) if (quad.SmTg.size and quad.UmVg.size) else True
+    f_x, f_y = (1.0 / lam if size else 1.0
+                for lam, size in zip(lam_min, (split.n_anti, split.n_stable)))
+    sigma_condition = bool(f_x * f_y < g2) if (split.n_anti and split.n_stable) else True
     diagnostics["sigma_product"] = float(f_x * f_y)
 
     regime = "symmetric-iff" if _is_symmetric_regime(plant.Ax, Z, opts) else "general"
     diagnostics["failure_reasons"] = why
-    return ok, sigma_condition, regime
+    return not why, sigma_condition, regime, diagnostics
 
 
 def build_controller(plant, X: np.ndarray, Y: np.ndarray,
@@ -252,26 +247,26 @@ def synthesize(plant: HinfPlant, opts: NumericOptions = DEFAULT) -> SynthesisRes
     gamma comes back as an uncertified result naming the condition."""
     split = plant.split(opts)
     quad = solve_quad(plant, split, opts)
-    _, failure = positivity(quad, opts)
+    _, failure, lam_min = positivity(quad.SmTg, quad.UmVg, opts)
     if failure:
         return SynthesisResult(plant.gamma, split, quad, None, None, None,
                                None, None, None, certified=False,
                                failure=failure)
     weights = riccati_weights(plant)
-    X, Y, rho_xy, diagnostics, UmVg_inv = assemble_xy(plant, split, quad,
-                                                      weights, opts)
+    X, Y, rho_xy, residuals, UmVg_inv = assemble_xy(plant, split, quad,
+                                                    weights, opts)
     # Z = JJ W JJ^T W^T, written with the (sharp) adjoint
     Z = plant.adjoint(split.W.T) @ split.W.T
-    certified, sigma_condition, regime = certify(
-        plant, split, quad, X, Y, Z, rho_xy, weights, UmVg_inv, diagnostics, opts)
-    controller = None
-    if rho_xy < 1.0 - opts.pd_tol:   # the same margin as certify's gate
-        controller = build_controller(plant, X, Y, opts)
+    # the one rho(XY) margin: it gates the certificate and the controller
+    rho_ok = rho_xy < 1.0 - opts.pd_tol
+    certified, sigma_condition, regime, diagnostics = certify(
+        plant, split, lam_min, X, Y, Z, rho_xy, rho_ok, weights, UmVg_inv, opts)
+    controller = build_controller(plant, X, Y, opts) if rho_ok else None
     return SynthesisResult(plant.gamma, split, quad, X, Y, Z, rho_xy,
                            sigma_condition, controller, certified,
                            regime=regime,
                            failure="; ".join(diagnostics["failure_reasons"]),
-                           diagnostics=diagnostics)
+                           diagnostics={**residuals, **diagnostics})
 
 
 def min_certified_gamma(plant: HinfPlant, lo: float, hi: float,

@@ -13,8 +13,8 @@ from qhinf.docio import (DocumentError, SystemDocument, atomic_write_text,
                          load_document, pairs_to_complex, save_document)
 from qhinf.passive import PassivePlant, synthesize_passive
 from qhinf.plant import HinfPlant
-from qhinf.synth import synthesize
-from qhinf.verify import close_loop
+from qhinf.synth import build_controller, synthesize
+from qhinf.verify import are_oracle, close_loop
 
 
 class TestComplexEncoding:
@@ -79,6 +79,14 @@ class TestDocuments:
         save_document(doc, path)
         with pytest.raises(DocumentError, match="C1"):
             instantiate(load_document(path))
+
+    def test_device_without_gamma_builds_at_spec_default(self):
+        cavity = SystemDocument("cavity", {}, params={"kappa1": 1.0,
+                                                      "kappa2": 4.0})
+        dpa = SystemDocument("dpa", {}, params={"kappa_w": 2.0, "kappa_u": 4.0,
+                                                "epsilon": 1.0})
+        assert instantiate(cavity).gamma == devices.CavitySpec(1.0, 4.0).gamma
+        assert instantiate(dpa).gamma == devices.DpaSpec(2.0, 4.0, 1.0).gamma
 
     def test_atomic_write_leaves_no_temp(self, tmp_path):
         path = str(tmp_path / "file.txt")
@@ -218,6 +226,19 @@ class TestCli:
         rep = json.loads(capsys.readouterr().out)
         assert rep["closed_loop"]["hinf"] == want
 
+    def test_synthesize_oracle_method(self, tmp_path, capsys):
+        path = str(tmp_path / "dpa.json")
+        save_document(SystemDocument("dpa", {}, params={
+            "kappa_w": 2.0, "kappa_u": 4.0, "epsilon": 1.0}, gamma=1.5), path)
+        plant = devices.build_dpa(devices.DpaSpec(2.0, 4.0, 1.0, 1.5))
+        oracle = are_oracle(plant)
+        cl = close_loop(plant, build_controller(plant, oracle.X, oracle.Y))
+        assert main(["synthesize", path, "--method", "oracle", "--json"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["certified"] is oracle.certified is True
+        assert rep["rho_xy"] == oracle.rho_xy
+        assert rep["closed_loop"]["hinf"] == cl.hinf
+
     def test_missing_file_exit_one(self, capsys):
         assert main(["synthesize", "/nonexistent/plant.json"]) == 1
         assert "error" in capsys.readouterr().err
@@ -230,12 +251,19 @@ class TestCli:
         ["example", "cavity", "--gamma", "0"],
         ["verify", "{dpa}", "{ctl3}"],
         ["freqresp", "{dpa}", "--wmin", "0"],
+        # one undamped mode: the 101st of 201 points is the pole at w = 1
+        ["freqresp", "{slh}", "--points", "201"],
+        ["sweep-gamma", "{slh}", "--min", "0.5", "--max", "2", "--steps", "3"],
     ])
     def test_invalid_input_exit_one(self, argv, tmp_path, capsys):
         spec = devices.DpaSpec(2.0, 4.0, 1.0, 1.5)
         ctl = synthesize(devices.build_dpa(spec)).controller
         paths = {name: str(tmp_path / f"{name}.json")
-                 for name in ("dpa", "ctl", "ctl3")}
+                 for name in ("dpa", "ctl", "ctl3", "slh")}
+        save_document(SystemDocument("slh", {
+            "S": np.eye(1), "Omega_minus": np.diag([0.0, 1.0]),
+            "Omega_plus": np.zeros((2, 2)), "C_minus": np.array([[1.0, 0.0]]),
+            "C_plus": np.zeros((1, 2))}), paths["slh"])
         save_document(SystemDocument("dpa", {}, params={
             "kappa_w": 2.0, "kappa_u": 4.0, "epsilon": 1.0}, gamma=1.5),
             paths["dpa"])

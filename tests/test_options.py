@@ -32,16 +32,19 @@ ALLOWED_LITERALS = {
         "_probe_frequencies' highest grid frequency: three decades above the "
         "fastest pole; where the cross-check grid ends, not a numerical "
         "decision",
+    ("qls.py", "hit = s[gap < 1e-12 * np.maximum(1.0, np.abs(s))]"):
+        "refuse_poles' root filter for transfer_matrix and `qhinf freqresp`: "
+        "whether s is a pole of the system, not a pipeline tolerance",
 }
 
 
 def test_no_bare_tolerances():
-    # every threshold in the synthesis modules and the linear-algebra kernel
-    # reads NumericOptions, so a hard-coded 1e-12 cannot hide from
-    # QHINF_PROFILE
+    # every threshold in the synthesis modules, the linear-algebra kernel and
+    # the system models reads NumericOptions, so a hard-coded 1e-12 cannot
+    # hide from QHINF_PROFILE
     src = Path(qhinf.__file__).parent
     found = []
-    for name in ("synth.py", "plant.py", "passive.py", "linalg.py"):
+    for name in ("synth.py", "plant.py", "passive.py", "linalg.py", "qls.py"):
         text = (src / name).read_text()
         for tok in tokenize.generate_tokens(io.StringIO(text).readline):
             num = tok.string.lower()

@@ -82,8 +82,7 @@ class TestConstruction:
                         np.eye(2), np.eye(1), 1.0)
 
     def test_joint_pr_residuals_small(self):
-        r1, r2 = simple_plant().pr_residuals()
-        assert r1 < 1e-12 and r2 < 1e-12
+        assert simple_plant().pr_residual() < 1e-12
 
 
 class TestAxAy:

@@ -11,7 +11,8 @@ from qhinf.errors import OracleError
 from qhinf.linalg import is_hurwitz
 from qhinf.plant import build_plant
 from qhinf.qls import j_symplectic, sharp_adjoint
-from qhinf.synth import min_certified_gamma, solve_quad, synthesize
+from qhinf.synth import (min_certified_gamma, positivity, solve_quad,
+                         synthesize)
 from qhinf.verify import are_oracle, attenuation_certificate, close_loop
 
 
@@ -116,6 +117,18 @@ class TestCertification:
         assert not res.certified
         assert res.failure == ("S - T/gamma^2 and U - V/gamma^2 "
                                "not positive definite")
+
+    def test_positivity_keeps_lambda_min(self):
+        # one eigvalsh per block decides the refusal and hands its smallest
+        # eigenvalue on; an empty block passes with lambda_min = inf
+        flags, failure, lam = positivity(np.diag([2.0, 0.5]),
+                                         np.diag([1.0, 1e-12]))
+        assert flags == {"smtg_pd": True, "umvg_pd": False}
+        assert failure == "U - V/gamma^2 not positive definite"
+        assert lam == (0.5, 1e-12)
+        flags, failure, lam = positivity(np.zeros((0, 0)), np.eye(1) * 3.0)
+        assert all(flags.values()) and failure == ""
+        assert lam == (np.inf, 3.0)
 
     def test_certified_implies_controller(self):
         # at a bisection boundary refined to 1e-15 rho(XY) sits just below 1;
