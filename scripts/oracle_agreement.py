@@ -59,7 +59,7 @@ def main() -> None:
         worst_dx = max(worst_dx, float(np.linalg.norm(res.X - orc.X) / sx))
         worst_dy = max(worst_dy, float(np.linalg.norm(res.Y - orc.Y) / sy))
         cl = close_loop(plant, res.controller)
-        if not attenuation_certificate(cl, plant.gamma).passed:
+        if not attenuation_certificate(cl).passed:
             atten_fail += 1
             print(f"  attenuation failure: gamma={plant.gamma} hinf={cl.hinf}")
     print(f"trials                    : {trials}")

@@ -34,6 +34,12 @@ def _options() -> NumericOptions:
     return PROFILES[name]
 
 
+def _count(n: int, flag: str) -> int:
+    if n < 1:
+        raise ParameterError(f"{flag} must be at least 1, got {n}")
+    return n
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         docio.atomic_write_text(out, text)
@@ -41,11 +47,11 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _synthesize_any(obj, opts):
+def _synthesize_any(obj):
     if isinstance(obj, PassivePlant):
-        return synthesize_passive(obj, opts)
+        return synthesize_passive(obj)
     if isinstance(obj, HinfPlant):
-        return synthesize(obj, opts)
+        return synthesize(obj)
     raise docio.DocumentError("document does not describe a synthesizable plant")
 
 
@@ -69,7 +75,7 @@ def cmd_check(args) -> int:
             lines.append(f"PR (joint plant)     : residual {obj.pr_residual():.3e} -> ok")
             lines.append("stabilizability/detectability (A1/A2): structural, ok")
         try:
-            spectral = f"ok (min |Re lambda(Ax)| = {obj.split(opts).min_abs_real:.3e})"
+            spectral = f"ok (min |Re lambda(Ax)| = {obj.split().min_abs_real:.3e})"
         except AssumptionError as exc:
             ok, spectral = False, f"FAIL: {exc}"
         lines.append(f"spectral condition (A3/A4)           : {spectral}")
@@ -86,10 +92,9 @@ def cmd_synthesize(args) -> int:
     if args.method == "oracle":
         if not isinstance(obj, HinfPlant):
             raise docio.DocumentError("oracle method needs a quadrature plant document")
-        oracle = are_oracle(obj, opts)
-        controller = build_controller(obj, oracle.X, oracle.Y, opts)
-        cl = close_loop(obj, controller, opts)
-        cert = attenuation_certificate(cl, obj.gamma, opts)
+        oracle = are_oracle(obj)
+        controller = build_controller(obj, oracle.X, oracle.Y)
+        cert = attenuation_certificate(close_loop(obj, controller))
         rep = {
             "gamma": obj.gamma, "method_path": "riccati-oracle",
             "certified": oracle.certified, "rho_xy": oracle.rho_xy,
@@ -107,8 +112,8 @@ def cmd_synthesize(args) -> int:
             f"closed-loop Hinf     : {cert.hinf:.10g}\n")
         _emit(text, args.out)
         return 0 if oracle.certified else 2
-    result = _synthesize_any(obj, opts)
-    rep = report.synthesis_report(obj, result, opts)
+    result = _synthesize_any(obj)
+    rep = report.synthesis_report(obj, result)
     _emit(report.render_json(rep) if args.json else report.render_text(rep), args.out)
     return 0 if result.certified else 2
 
@@ -124,8 +129,7 @@ def cmd_verify(args) -> int:
     K = Controller(mats["AK"], mats["BK"], mats["CK"],
                    BKtilde=None, CKtilde=None, pr_residual=float("nan"),
                    needs_augmentation=False)
-    cl = close_loop(plant, K, opts)
-    cert = attenuation_certificate(cl, plant.gamma, opts)
+    cert = attenuation_certificate(close_loop(plant, K))
     text = (f"internally stable    : {cert.internally_stable}\n"
             f"Hinf norm            : {cert.hinf:.10g}\n"
             f"gamma                : {plant.gamma}\n"
@@ -140,7 +144,8 @@ def cmd_sweep(args) -> int:
     opts = _options()
     doc = docio.load_document(args.path)
     positive_gamma(min(args.min, args.max))
-    gammas = np.linspace(args.min, args.max, args.steps)
+    positive_gamma(max(args.min, args.max))
+    gammas = np.linspace(args.min, args.max, _count(args.steps, "--steps"))
     # built once, at the first target; with_gamma reaches the others
     plant = docio.instantiate(doc, gamma=args.min, opts=opts)
     if not isinstance(plant, (HinfPlant, PassivePlant)):
@@ -149,10 +154,10 @@ def cmd_sweep(args) -> int:
     for g in map(float, gammas):
         try:
             at_g = plant.with_gamma(g)
-            res = _synthesize_any(at_g, opts)
+            res = _synthesize_any(at_g)
             hinf = float("nan")
             if res.certified:   # one rho(XY) margin gates it and the controller
-                hinf = close_loop(at_g, res.controller, opts).hinf
+                hinf = close_loop(at_g, res.controller).hinf
             rows.append([g, int(res.certified), hinf])
         except QhinfError:
             rows.append([g, 0, float("nan")])
@@ -174,7 +179,7 @@ def cmd_freqresp(args) -> int:
         raise docio.DocumentError("freqresp does not apply to this document kind")
     if not (args.wmin > 0 and args.wmax > 0):
         raise ParameterError("--wmin and --wmax must be positive")
-    ws = np.geomspace(args.wmin, args.wmax, args.points)
+    ws = np.geomspace(args.wmin, args.wmax, _count(args.points, "--points"))
     resp = linalg.Response(A, B, C, D, opts)
     qls.refuse_poles(resp, 1j * ws)
     sv = resp.singular_values(ws)
@@ -197,7 +202,7 @@ def cmd_example(args) -> int:
     if args.device == "cavity":
         spec = devices.CavitySpec(args.k1, args.k2, **gamma)
         plant = devices.build_cavity(spec, opts)
-        res = synthesize_passive(plant, opts)
+        res = synthesize_passive(plant)
         ref = devices.cavity_reference(spec)
         lines.append(f"cavity kappa1={spec.kappa1} kappa2={spec.kappa2} "
                      f"gamma={spec.gamma}: certified={res.certified}")
@@ -212,14 +217,14 @@ def cmd_example(args) -> int:
                     _compare("CK", res.controller.CK, [[ref["CK"]]])]:
                 lines.append(line)
                 ok = ok and good
-        thr = passive_gamma_threshold(plant, opts)
+        thr = passive_gamma_threshold(plant)
         lines.append(f"  attenuation threshold gamma* = {thr.gamma_star:.10g} "
                      f"(closed form {ref['gamma_star']:.10g})")
         doc = docio.document_for(plant)
     else:
         spec = devices.DpaSpec(args.kw, args.ku, args.eps, **gamma)
         plant = devices.build_dpa(spec, opts)
-        res = synthesize(plant, opts)
+        res = synthesize(plant)
         lines.append(f"dpa kappa_w={spec.kappa_w} kappa_u={spec.kappa_u} "
                      f"epsilon={spec.epsilon} gamma={spec.gamma}: "
                      f"branch={spec.case} certified={res.certified}")

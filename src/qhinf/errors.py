@@ -14,9 +14,13 @@ class ParameterError(QhinfError, ValueError):
 
 
 def positive_gamma(gamma: float) -> float:
-    """The attenuation target gamma, checked to be a positive number."""
+    """The attenuation target gamma, checked to be a positive number whose
+    square, which the pipeline divides by, is a finite positive double."""
     if not gamma > 0:
         raise ParameterError(f"gamma must be positive, got {gamma!r}")
+    if not 0 < gamma * gamma < float("inf"):
+        raise ParameterError(f"gamma^2 must be a finite positive double, "
+                             f"got gamma = {gamma!r}")
     return gamma
 
 

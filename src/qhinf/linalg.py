@@ -269,11 +269,6 @@ class Response:
         return np.max(self.singular_values(omegas), axis=1, initial=0.0)
 
 
-def gain_at(A, B, C, D, omega: float, opts: NumericOptions = DEFAULT) -> float:
-    """sigma_max G(i omega), from the batched evaluator at one frequency."""
-    return float(Response(A, B, C, D, opts).gains(omega)[0])
-
-
 def _probe_frequencies(poles: np.ndarray) -> np.ndarray:
     lam = poles if poles.size else np.array([1.0 + 0j])
     mags = np.abs(lam)

@@ -1,8 +1,10 @@
 """Central numerical tolerance table.
 
-All routines take an optional NumericOptions; omitting it uses the defaults
-below.  Keeping the knobs in one dataclass makes sweeps reproducible: a single
-options object threads through an entire synthesis run.
+A plant is built with a NumericOptions (the defaults below when omitted) and
+owns it: every stage that takes a plant (split, synthesis, threshold, oracle,
+closed loop, certificate) reads plant.opts, so one options object governs an
+entire run.  Routines that have no plant (the linear-algebra kernel, the
+system models) take the table as an optional argument.
 """
 
 from dataclasses import dataclass, replace

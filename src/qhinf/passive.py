@@ -49,7 +49,7 @@ class PassivePlant:
         """Adjoint of the complex representation: the conjugate transpose."""
         return M.conj().T
 
-    def split(self, opts: NumericOptions = DEFAULT) -> SchurSplit:
+    def split(self) -> SchurSplit:
         """Eigendecompose Hermitian Ax with negative eigenvalues first.
 
         Returns the split with W Ax W^H = diag(lam): diagonal stable and
@@ -60,7 +60,7 @@ class PassivePlant:
         within split_tol of zero (the split is then ill-defined).
         """
         lam, Q = np.linalg.eigh(self.Ax)   # ascending: stable block first
-        min_re = linalg.axis_margin(lam, opts)
+        min_re = linalg.axis_margin(lam, self.opts)
         sd, n = int(np.sum(lam < 0)), lam.size
         return SchurSplit(W=Q.conj().T, A11=np.diag(lam[:sd]),
                           A12=np.zeros((sd, n - sd)), A22=np.diag(lam[sd:]),
@@ -112,25 +112,24 @@ def build_passive_plant(C1, C2, D12=None, D21=None, gamma: float = 1.0,
     return PassivePlant(C1, C2, D12, D21, gamma, opts=opts)
 
 
-def synthesize_passive(plant: PassivePlant,
-                       opts: NumericOptions = DEFAULT) -> SynthesisResult:
+def synthesize_passive(plant: PassivePlant) -> SynthesisResult:
     """Lyapunov-based synthesis for a passive plant.
 
     X is supported on the anti-stable eigenspace of Ax and Y on the stable
     one, so rho(XY) = 0 identically and certification reduces to positive
     definiteness of S - T/gamma^2 and U - V/gamma^2.
     """
-    split = plant.split(opts)
-    quad = solve_quad(plant, split, opts)
-    diagnostics, failure, _ = positivity(quad.SmTg, quad.UmVg, opts)
+    split = plant.split()
+    quad = solve_quad(plant, split)
+    diagnostics, failure, _ = positivity(quad.SmTg, quad.UmVg, plant.opts)
     if failure:
         return SynthesisResult(plant.gamma, None, quad, None, None, None,
                                0.0, False, None, certified=False,
                                regime="passive", failure=failure,
                                diagnostics=diagnostics)
     X, Y, rho_xy, residuals, _ = assemble_xy(plant, split, quad,
-                                             riccati_weights(plant), opts)
-    controller = build_controller(plant, X, Y, opts)
+                                             riccati_weights(plant))
+    controller = build_controller(plant, X, Y)
     return SynthesisResult(plant.gamma, None, quad, X, Y, None, rho_xy,
                            True, controller, certified=True, regime="passive",
                            diagnostics={**diagnostics, **residuals})
@@ -154,12 +153,11 @@ class PassiveThreshold:
         return self.gamma_star
 
 
-def passive_gamma_threshold(plant: PassivePlant,
-                            opts: NumericOptions = DEFAULT) -> PassiveThreshold:
+def passive_gamma_threshold(plant: PassivePlant) -> PassiveThreshold:
     """gamma* with S - T/g^2 > 0 and U - V/g^2 > 0 exactly for g > gamma*."""
-    quad = solve_quad(plant, plant.split(opts), opts)
+    quad = solve_quad(plant, plant.split())
     # S and U are the two blocks at gamma = infinity
-    flags, _, _ = positivity(quad.S, quad.U, opts)
+    flags, _, _ = positivity(quad.S, quad.U, plant.opts)
     if not all(flags.values()):
         raise SynthesisError(
             "degenerate Lyapunov pair: the forced block is not positive "

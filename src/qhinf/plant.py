@@ -53,7 +53,7 @@ class HinfPlant:
         """Adjoint of the quadrature representation: the sharp adjoint."""
         return sharp_adjoint(M)
 
-    def split(self, opts: NumericOptions = DEFAULT) -> SchurSplit:
+    def split(self) -> SchurSplit:
         """Stable/anti-stable split of Ax by ordered real Schur form.
 
         This is the plant's one test of the spectral assumption (A3/A4): it
@@ -63,7 +63,7 @@ class HinfPlant:
         detectability (A1/A2) hold structurally for plants built from
         physical data.
         """
-        return ordered_schur_split(self.Ax, opts)
+        return ordered_schur_split(self.Ax, self.opts)
 
     def __post_init__(self):
         self.Hmat = np.atleast_2d(np.asarray(self.Hmat, dtype=float))

@@ -8,7 +8,6 @@ import json
 
 import numpy as np
 
-from .options import DEFAULT, NumericOptions
 from .synth import SynthesisResult
 from .verify import attenuation_certificate, close_loop
 
@@ -26,13 +25,13 @@ def _mat(M) -> list | None:
     return [[float(v) for v in row] for row in M]
 
 
-def synthesis_report(plant, result: SynthesisResult, opts: NumericOptions = DEFAULT) -> dict:
+def synthesis_report(plant, result: SynthesisResult) -> dict:
     """Machine-readable account of one synthesis run.
 
     Closed-loop figures are recomputed here from the stored matrices, with
-    the same tolerances as the synthesis (opts); the
-    method path records which certification route applied (the passive route
-    is exact, the symmetric regime is exact, the general one is sufficient).
+    the plant's tolerances, as the synthesis used; the method path records
+    which certification route applied (the passive route is exact, the
+    symmetric regime is exact, the general one is sufficient).
     """
     method = {"passive": "passive-exact",
               "symmetric-iff": "general-symmetric-exact"}.get(
@@ -66,8 +65,7 @@ def synthesis_report(plant, result: SynthesisResult, opts: NumericOptions = DEFA
             "pr_residual": float(k.pr_residual),
             "needs_augmentation": bool(k.needs_augmentation),
         }
-        cl = close_loop(plant, k, opts)
-        cert = attenuation_certificate(cl, result.gamma, opts)
+        cert = attenuation_certificate(close_loop(plant, k))
         rep["closed_loop"] = {
             "internally_stable": cert.internally_stable,
             "hinf": _num(cert.hinf),

@@ -77,8 +77,7 @@ class SynthesisResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def solve_quad(plant, split: SchurSplit,
-               opts: NumericOptions = DEFAULT) -> LyapunovQuad:
+def solve_quad(plant, split: SchurSplit) -> LyapunovQuad:
     """Solve the four Lyapunov equations on the split subspaces.
 
     With B1x = W B1, B2x = W B2 partitioned conformally (subscript 1 stable,
@@ -94,7 +93,7 @@ def solve_quad(plant, split: SchurSplit,
     """
     sd = split.n_stable
     B1x, B2x = split.W @ plant.B1, split.W @ plant.B2
-    g2 = plant.gamma ** 2
+    g2, opts = plant.gamma ** 2, plant.opts
     S = linalg.solve_lyapunov(-split.A22, B2x[sd:] @ B2x[sd:].conj().T, opts)
     T = linalg.solve_lyapunov(-split.A22, B1x[sd:] @ B1x[sd:].conj().T, opts)
     U = linalg.solve_lyapunov(split.A11, B1x[:sd] @ B1x[:sd].conj().T, opts)
@@ -125,8 +124,7 @@ def riccati_weights(plant) -> tuple[np.ndarray, np.ndarray]:
             plant.C1.conj().T @ plant.C1 - g2 * plant.C2.conj().T @ plant.C2)
 
 
-def assemble_xy(plant, split: SchurSplit, quad: LyapunovQuad, weights,
-                opts: NumericOptions = DEFAULT):
+def assemble_xy(plant, split: SchurSplit, quad: LyapunovQuad, weights):
     """Build the stabilizing Riccati solutions X, Y from the Lyapunov data.
 
     X = W^H diag(0, (S - T/g^2)^-1) W and Y = adj(W^H diag((U - V/g^2)^-1, 0) W)
@@ -166,8 +164,7 @@ def _is_symmetric_regime(Ax: np.ndarray, Z: np.ndarray, opts: NumericOptions) ->
 
 def certify(plant: HinfPlant, split: SchurSplit, lam_min: tuple,
             X: np.ndarray, Y: np.ndarray, Z: np.ndarray, rho_xy: float,
-            rho_ok: bool, weights, UmVg_inv,
-            opts: NumericOptions = DEFAULT) -> tuple[bool, bool, str, dict]:
+            rho_ok: bool, weights, UmVg_inv) -> tuple[bool, bool, str, dict]:
     """Decide whether the assembled (X, Y) certify the attenuation target.
 
     The operative conditions are the direct ones: rho(XY) < 1 - pd_tol
@@ -194,7 +191,7 @@ def certify(plant: HinfPlant, split: SchurSplit, lam_min: tuple,
                       * (1.0 + np.linalg.norm(split.A11) + np.linalg.norm(split.A22))))
     diagnostics = {"compat_residual": compat,
                    "cross_block_norm": float(np.linalg.norm(split.A12))}
-    if compat > opts.residual_tol:
+    if compat > plant.opts.residual_tol:
         why.append("cross-block compatibility equation fails")
 
     M, N = weights
@@ -210,13 +207,12 @@ def certify(plant: HinfPlant, split: SchurSplit, lam_min: tuple,
     sigma_condition = bool(f_x * f_y < g2) if (split.n_anti and split.n_stable) else True
     diagnostics["sigma_product"] = float(f_x * f_y)
 
-    regime = "symmetric-iff" if _is_symmetric_regime(plant.Ax, Z, opts) else "general"
+    regime = "symmetric-iff" if _is_symmetric_regime(plant.Ax, Z, plant.opts) else "general"
     diagnostics["failure_reasons"] = why
     return not why, sigma_condition, regime, diagnostics
 
 
-def build_controller(plant, X: np.ndarray, Y: np.ndarray,
-                     opts: NumericOptions = DEFAULT) -> Controller:
+def build_controller(plant, X: np.ndarray, Y: np.ndarray) -> Controller:
     """Assemble the output-feedback controller from the Riccati solutions,
     in the plant's representation and with the plant's adjoint."""
     g2 = plant.gamma ** 2
@@ -237,31 +233,31 @@ def build_controller(plant, X: np.ndarray, Y: np.ndarray,
                       BKtilde=-adj(CK),
                       CKtilde=-adj(BK),
                       pr_residual=pr,
-                      needs_augmentation=bool(pr > opts.pr_tol))
+                      needs_augmentation=bool(pr > plant.opts.pr_tol))
 
 
-def synthesize(plant: HinfPlant, opts: NumericOptions = DEFAULT) -> SynthesisResult:
+def synthesize(plant: HinfPlant) -> SynthesisResult:
     """Full pipeline: split -> Lyapunov -> X/Y -> certificate -> controller.
     Structural violations raise (the split raises an AssumptionError when
     the spectral assumption fails); a solvability failure at the stated
     gamma comes back as an uncertified result naming the condition."""
-    split = plant.split(opts)
-    quad = solve_quad(plant, split, opts)
-    _, failure, lam_min = positivity(quad.SmTg, quad.UmVg, opts)
+    split = plant.split()
+    quad = solve_quad(plant, split)
+    _, failure, lam_min = positivity(quad.SmTg, quad.UmVg, plant.opts)
     if failure:
         return SynthesisResult(plant.gamma, split, quad, None, None, None,
                                None, None, None, certified=False,
                                failure=failure)
     weights = riccati_weights(plant)
     X, Y, rho_xy, residuals, UmVg_inv = assemble_xy(plant, split, quad,
-                                                    weights, opts)
+                                                    weights)
     # Z = JJ W JJ^T W^T, written with the (sharp) adjoint
     Z = plant.adjoint(split.W.T) @ split.W.T
     # the one rho(XY) margin: it gates the certificate and the controller
-    rho_ok = rho_xy < 1.0 - opts.pd_tol
+    rho_ok = rho_xy < 1.0 - plant.opts.pd_tol
     certified, sigma_condition, regime, diagnostics = certify(
-        plant, split, lam_min, X, Y, Z, rho_xy, rho_ok, weights, UmVg_inv, opts)
-    controller = build_controller(plant, X, Y, opts) if rho_ok else None
+        plant, split, lam_min, X, Y, Z, rho_xy, rho_ok, weights, UmVg_inv)
+    controller = build_controller(plant, X, Y) if rho_ok else None
     return SynthesisResult(plant.gamma, split, quad, X, Y, Z, rho_xy,
                            sigma_condition, controller, certified,
                            regime=regime,
@@ -270,7 +266,6 @@ def synthesize(plant: HinfPlant, opts: NumericOptions = DEFAULT) -> SynthesisRes
 
 
 def min_certified_gamma(plant: HinfPlant, lo: float, hi: float,
-                        opts: NumericOptions = DEFAULT,
                         tol: float = 1e-6) -> float:
     """Bisect for the smallest gamma in [lo, hi] whose synthesis certifies.
 
@@ -278,7 +273,7 @@ def min_certified_gamma(plant: HinfPlant, lo: float, hi: float,
     """
     def ok(g: float) -> bool:
         try:
-            return synthesize(plant.with_gamma(g), opts).certified
+            return synthesize(plant.with_gamma(g)).certified
         except (AssumptionError, SynthesisError):
             return False
 

@@ -9,7 +9,7 @@ Two cross-checks with failure modes disjoint from the Lyapunov pipeline:
   certification of the disturbance-to-performance map.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -63,10 +63,10 @@ class OracleResult:
     certified: bool
 
 
-def are_oracle(plant: HinfPlant, opts: NumericOptions = DEFAULT) -> OracleResult:
+def are_oracle(plant: HinfPlant) -> OracleResult:
     """Solve the two coupled Riccati equations independently of the
     Lyapunov pipeline and evaluate the certification conditions."""
-    g2 = plant.gamma ** 2
+    g2, opts = plant.gamma ** 2, plant.opts
     M = plant.B1 @ plant.B1.T / g2 - plant.B2 @ plant.B2.T
     N = plant.C1.T @ plant.C1 - g2 * plant.C2.T @ plant.C2
     X = _stabilizing_riccati(plant.Ax, M, opts)
@@ -87,17 +87,19 @@ def are_oracle(plant: HinfPlant, opts: NumericOptions = DEFAULT) -> OracleResult
 
 @dataclass
 class ClosedLoop:
-    """Disturbance-to-performance closed loop of plant and controller."""
+    """Disturbance-to-performance closed loop of plant and controller,
+    with the plant's attenuation target and tolerances."""
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
     D: np.ndarray
     internally_stable: bool
     hinf: float
+    gamma: float
+    opts: NumericOptions = field(repr=False, compare=False)
 
 
-def close_loop(plant, controller: Controller,
-               opts: NumericOptions = DEFAULT) -> ClosedLoop:
+def close_loop(plant, controller: Controller) -> ClosedLoop:
     """Interconnect plant and controller (controller noise has zero mean and
     drops out of the mean dynamics, so the disturbance is the only input)."""
     A, B1, B2 = plant.A, plant.B1, plant.B2
@@ -115,10 +117,10 @@ def close_loop(plant, controller: Controller,
     Dcl = np.zeros((Ccl.shape[0], Bcl.shape[1]))
     # internally stable iff max Re lambda(Acl) < 0: the norm's own pole test
     try:
-        hinf, stable = linalg.hinf_norm(Acl, Bcl, Ccl, Dcl, opts), True
+        hinf, stable = linalg.hinf_norm(Acl, Bcl, Ccl, Dcl, plant.opts), True
     except NotHurwitzError:
         hinf, stable = float("inf"), False
-    return ClosedLoop(Acl, Bcl, Ccl, Dcl, stable, hinf)
+    return ClosedLoop(Acl, Bcl, Ccl, Dcl, stable, hinf, plant.gamma, plant.opts)
 
 
 @dataclass
@@ -132,19 +134,18 @@ class AttenuationReport:
     grid_agreement: float   # relative gap between level-set and grid maxima
 
 
-def attenuation_certificate(cl: ClosedLoop, gamma: float,
-                            opts: NumericOptions = DEFAULT) -> AttenuationReport:
-    """Pass iff the loop is internally stable with H-infinity norm < gamma.
+def attenuation_certificate(cl: ClosedLoop) -> AttenuationReport:
+    """Pass iff the loop is internally stable with H-infinity norm below the
+    plant's gamma.
 
     Also reports the dense-grid cross-check of the norm (the grid maximum can
     only fall short of the true norm; agreement validates the level-set
     norm)."""
     if cl.internally_stable:
-        grid_val, worst = linalg.hinf_norm_grid(cl.A, cl.B, cl.C, cl.D,
-                                                opts=opts)
+        grid_val, worst = linalg.hinf_norm_grid(cl.A, cl.B, cl.C, cl.D, cl.opts)
         agreement = abs(cl.hinf - grid_val) / max(1e-300, cl.hinf)
     else:
         grid_val, worst, agreement = float("nan"), float("nan"), float("nan")
-    passed = bool(cl.internally_stable and cl.hinf < gamma)
+    passed = bool(cl.internally_stable and cl.hinf < cl.gamma)
     return AttenuationReport(passed, cl.internally_stable, cl.hinf,
-                             gamma - cl.hinf, worst, grid_val, agreement)
+                             cl.gamma - cl.hinf, worst, grid_val, agreement)

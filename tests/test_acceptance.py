@@ -217,7 +217,7 @@ def test_criterion_6_end_to_end_attenuation():
             continue
         checked += 1
         cl = close_loop(plant, res.controller)
-        rep = attenuation_certificate(cl, plant.gamma)
+        rep = attenuation_certificate(cl)
         if not (rep.internally_stable and rep.hinf < plant.gamma
                 and rep.grid_agreement < 1e-4):
             failures.append((plant.gamma, rep.hinf, rep.grid_agreement))

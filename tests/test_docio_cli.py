@@ -217,10 +217,10 @@ class TestCli:
         path = str(tmp_path / "dpa.json")
         save_document(SystemDocument("dpa", {}, params={
             "kappa_w": 2.0, "kappa_u": 2.5, "epsilon": 1.0}, gamma=1.4), path)
-        strict = PROFILES["strict"]
-        plant = devices.build_dpa(devices.DpaSpec(2.0, 2.5, 1.0, 1.4), strict)
-        want = close_loop(plant, synthesize(plant, strict).controller,
-                          strict).hinf
+        # the plant carries its options to every stage; none is passed again
+        plant = devices.build_dpa(devices.DpaSpec(2.0, 2.5, 1.0, 1.4),
+                                  PROFILES["strict"])
+        want = close_loop(plant, synthesize(plant).controller).hinf
         monkeypatch.setenv("QHINF_PROFILE", "strict")
         assert main(["synthesize", path, "--json"]) == 0
         rep = json.loads(capsys.readouterr().out)
@@ -254,6 +254,13 @@ class TestCli:
         # one undamped mode: the 101st of 201 points is the pole at w = 1
         ["freqresp", "{slh}", "--points", "201"],
         ["sweep-gamma", "{slh}", "--min", "0.5", "--max", "2", "--steps", "3"],
+        ["sweep-gamma", "{dpa}", "--min", "1", "--max", "2", "--steps", "-1"],
+        ["freqresp", "{dpa}", "--points", "-3"],
+        # gamma^2 must be a finite positive double
+        ["synthesize", "{dpa}", "--gamma", "inf"],
+        ["example", "dpa", "--gamma", "inf"],
+        ["sweep-gamma", "{dpa}", "--min", "1", "--max", "inf", "--steps", "3"],
+        ["synthesize", "{dpa}", "--gamma", "1e308"],
     ])
     def test_invalid_input_exit_one(self, argv, tmp_path, capsys):
         spec = devices.DpaSpec(2.0, 4.0, 1.0, 1.5)

@@ -1,3 +1,4 @@
+import inspect
 import io
 import re
 import tokenize
@@ -5,6 +6,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import qhinf
+from qhinf import cli, passive, plant, report, synth, verify
 from qhinf.options import NumericOptions
 
 
@@ -53,3 +55,24 @@ def test_no_bare_tolerances():
                     and (name, tok.line.strip()) not in ALLOWED_LITERALS):
                 found.append(f"{name}:{tok.start[0]}: {tok.line.strip()}")
     assert found == []
+
+
+# every stage that takes a plant reads plant.opts; a per-call opts would be a
+# second owner of the plant's tolerances, free to disagree with the first
+PLANT_STAGES = [
+    plant.HinfPlant.split, passive.PassivePlant.split,
+    synth.solve_quad, synth.assemble_xy, synth.certify,
+    synth.build_controller, synth.synthesize, synth.min_certified_gamma,
+    passive.synthesize_passive, passive.passive_gamma_threshold,
+    verify.are_oracle, verify.close_loop, verify.attenuation_certificate,
+    report.synthesis_report, cli._synthesize_any,
+]
+
+
+def test_plant_stages_take_no_options():
+    taking = [f.__qualname__ for f in PLANT_STAGES
+              if "opts" in inspect.signature(f).parameters]
+    assert taking == []
+    # the closed loop carries its plant's gamma to the certificate
+    assert "gamma" not in inspect.signature(
+        verify.attenuation_certificate).parameters

@@ -65,7 +65,7 @@ class TestClosedLoop:
     def test_certificate_margin(self, rng):
         plant = random_sym_plant(rng, gamma=2.0)
         cl = close_loop(plant, synthesize(plant).controller)
-        rep = attenuation_certificate(cl, plant.gamma)
+        rep = attenuation_certificate(cl)
         assert rep.passed
         assert rep.margin == pytest.approx(plant.gamma - rep.hinf)
         assert rep.grid_agreement < 1e-4
@@ -78,6 +78,6 @@ class TestClosedLoop:
         cl = close_loop(plant, ctl)
         if cl.internally_stable:
             pytest.skip("perturbation did not destabilize this draw")
-        rep = attenuation_certificate(cl, plant.gamma)
+        rep = attenuation_certificate(cl)
         assert not rep.passed
         assert rep.hinf == float("inf")
