@@ -102,7 +102,9 @@ def cmd_synthesize(args) -> int:
                            "needs_augmentation": controller.needs_augmentation},
             "closed_loop": {"internally_stable": cert.internally_stable,
                             "hinf": cert.hinf, "margin": cert.margin,
-                            "attenuation_passed": cert.passed},
+                            "attenuation_passed": cert.passed,
+                            "witness_margin": cert.witness_margin,
+                            "witness_p_min": cert.witness_p_min},
         }
         text = report.render_json(rep) if args.json else (
             f"gamma                : {obj.gamma}\n"
@@ -122,6 +124,8 @@ def cmd_verify(args) -> int:
     opts = _options()
     plant = docio.instantiate(docio.load_document(args.plant),
                               gamma=args.gamma, opts=opts)
+    if not isinstance(plant, (HinfPlant, PassivePlant)):
+        raise docio.DocumentError("first argument must be a plant document")
     kdoc = docio.load_document(args.controller)
     if kdoc.kind != "controller":
         raise docio.DocumentError("second argument must be a controller document")
@@ -135,6 +139,7 @@ def cmd_verify(args) -> int:
             f"gamma                : {plant.gamma}\n"
             f"margin               : {cert.margin:.6e}\n"
             f"grid cross-check     : {cert.grid_value:.10g}\n"
+            f"witness margin       : {cert.witness_margin:.6e}\n"
             f"attenuation          : {'pass' if cert.passed else 'FAIL'}\n")
     _emit(text, args.out)
     return 0 if cert.passed else 2

@@ -3,9 +3,10 @@
 Thin, checked wrappers around numpy/scipy factorizations plus the solvers
 the pipeline is built on: a Bartels-Stewart Lyapunov solver (one Schur form
 and LAPACK trsyl, O(n^3)), Response, the one evaluator of the frequency
-response G(s), a level-set H-infinity norm (a few Hamiltonian eigenvalue
-tests) and a frequency-grid cross-check.  Everything works on complex
-input; real input stays real where the contract promises it.
+response G(s), and a level-set H-infinity norm (a few Hamiltonian
+eigenvalue tests) that brackets the norm between a gain it attains and a
+bound it proves.  Everything works on complex input; real input stays real
+where the contract promises it.
 """
 
 from dataclasses import dataclass
@@ -200,11 +201,9 @@ def ordered_schur_split(A: np.ndarray, opts: NumericOptions = DEFAULT) -> SchurS
 # Frequency response and H-infinity norm
 # ---------------------------------------------------------------------------
 
-# byte size of the complex work array of one batch of frequencies; the
-# grid runs in such batches so that it adds no measurable memory
+# byte size of the complex work array of one batch of frequencies; long
+# frequency lists run in such batches so that they add no measurable memory
 _BATCH_BYTES = 2**16
-# log-spaced probe frequencies of the grid (w = 0 and |Im lambda| are added)
-_N_GRID = 2000
 # the level-set iteration converges quadratically, in a handful of levels;
 # the cap bounds a Hamiltonian that keeps an eigenvalue on the axis at every
 # level (a pole within split_tol of it)
@@ -220,8 +219,8 @@ class Response:
     That form is accurate to about cond(V) eps.  When this exceeds
     residual_tol (A defective or nearly so) each frequency is an LU solve of
     (sI - A) instead.  Frequencies run in batches of about _BATCH_BYTES of
-    complex work array.  The norm, the grid, qls.transfer_matrix and
-    `qhinf freqresp` all evaluate G here.
+    complex work array.  The norm, qls.transfer_matrix and `qhinf freqresp`
+    all evaluate G here.
     """
 
     def __init__(self, A, B, C, D, opts: NumericOptions = DEFAULT):
@@ -269,33 +268,6 @@ class Response:
         return np.max(self.singular_values(omegas), axis=1, initial=0.0)
 
 
-def _probe_frequencies(poles: np.ndarray) -> np.ndarray:
-    lam = poles if poles.size else np.array([1.0 + 0j])
-    mags = np.abs(lam)
-    lo = max(1e-8, 1e-3 * float(np.min(mags[mags > 0], initial=1.0)))
-    hi = max(10.0, 1e3 * float(np.max(mags, initial=1.0)))
-    grid = np.geomspace(lo, hi, _N_GRID)
-    res = np.abs(lam.imag)
-    return np.unique(np.concatenate([[0.0], grid, res[res > 0]]))
-
-
-def hinf_norm_grid(A, B, C, D, opts: NumericOptions = DEFAULT) -> tuple[float, float]:
-    """Lower-bound the H-infinity norm on a dense log frequency grid.
-
-    Returns (max gain, frequency achieving it).  Used as an independent
-    cross-check of the level-set norm; the grid can only under-estimate.
-    """
-    A, B, C, D = map(np.asarray, (A, B, C, D))
-    resp = Response(A, B, C, D, opts)
-    w = _probe_frequencies(resp.poles)
-    g = resp.gains(w)
-    i = int(np.argmax(g))
-    best = max_singular_value(D)
-    if g[i] > best:
-        return float(g[i]), float(w[i])
-    return best, np.inf
-
-
 def _crossing_frequencies(A, B, C, D, gamma: float,
                           opts: NumericOptions = DEFAULT) -> np.ndarray:
     """Sorted frequencies w at which gamma is a singular value of G(i w).
@@ -316,9 +288,15 @@ def _crossing_frequencies(A, B, C, D, gamma: float,
     return np.sort(lam.imag[on_axis])
 
 
-def hinf_norm(A, B, C, D, opts: NumericOptions = DEFAULT) -> float:
-    """H-infinity norm of the stable system (A, B, C, D), as an upper bound
-    proven by a Hamiltonian test.
+def hinf_bracket(A, B, C, D, opts: NumericOptions = DEFAULT
+                 ) -> tuple[float, float, float]:
+    """H-infinity norm of the stable system (A, B, C, D), bracketed.
+
+    Returns (upper, attained, frequency): upper is a bound on the norm that a
+    Hamiltonian test proves, attained the largest gain sigma_max G(i w)
+    actually evaluated, and frequency its w (inf when sigma_max(D) is the
+    largest).  So attained <= norm <= upper, and (upper - attained) / upper is
+    the bracket's width.
 
     Level-set iteration (Boyd-Balakrishnan, Systems & Control Letters 15,
     1990; Bruinsma-Steinbuch, Systems & Control Letters 14, 1990).  The lower
@@ -326,8 +304,8 @@ def hinf_norm(A, B, C, D, opts: NumericOptions = DEFAULT) -> float:
     and at |Im lambda| and |lambda| of every pole.  Each step finds the
     frequencies where the gain crosses level = (1 + 2 hinf_tol) lo and raises
     lo to the largest gain at their midpoints.  When no crossing is left the
-    norm is below the level, and the level is returned: hinf_norm < gamma
-    proves the attenuation.  A norm below hinf_tol is reported as about
+    norm is below the level, and the level is returned as upper: upper <
+    gamma proves the attenuation.  A norm below hinf_tol is reported as about
     hinf_tol.
 
     Crossings that no midpoint gain confirms come from a peak too sharp for
@@ -341,19 +319,31 @@ def hinf_norm(A, B, C, D, opts: NumericOptions = DEFAULT) -> float:
     resp = Response(A, B, C, D, opts)
     if A.shape[0] and np.max(resp.poles.real) >= 0.0:
         raise NotHurwitzError("H-infinity norm requires a Hurwitz A")
+    best, w_best = max_singular_value(D), np.inf
     if A.shape[0] == 0 or B.size == 0 or C.size == 0:
-        return max_singular_value(D)
+        return best, best, w_best
+
+    def attain(w: np.ndarray) -> float:
+        """Largest gain over w; keeps the best gain seen and its w."""
+        nonlocal best, w_best
+        if not w.size:
+            return 0.0
+        g = resp.gains(w)
+        i = int(np.argmax(g))
+        if g[i] > best:
+            best, w_best = float(g[i]), float(w[i])
+        return float(g[i])
 
     lam = resp.poles
-    start = np.concatenate([[0.0], np.abs(lam.imag), np.abs(lam)])
-    lo = max(max_singular_value(D), float(np.max(resp.gains(start))))
+    attain(np.concatenate([[0.0], np.abs(lam.imag), np.abs(lam)]))
+    lo = best
     margin = 2.0 * opts.hinf_tol
     for _ in range(_MAX_LEVELS):
         level = (1.0 + margin) * max(lo, opts.hinf_tol)
         w = _crossing_frequencies(A, B, C, D, level, opts)
         if w.size == 0:
-            return level
-        peak = float(np.max(resp.gains(0.5 * (w[:-1] + w[1:])), initial=0.0))
+            return level, best, w_best
+        peak = attain(0.5 * (w[:-1] + w[1:]))
         if peak > level:
             lo, margin = peak, 2.0 * opts.hinf_tol
         else:
@@ -362,3 +352,9 @@ def hinf_norm(A, B, C, D, opts: NumericOptions = DEFAULT) -> float:
         f"H-infinity level set still crosses the imaginary axis after "
         f"{_MAX_LEVELS} levels (at {lo:.6e}); the Hamiltonian keeps an "
         "eigenvalue within split_tol of the axis")
+
+
+def hinf_norm(A, B, C, D, opts: NumericOptions = DEFAULT) -> float:
+    """H-infinity norm of the stable system (A, B, C, D): the proven upper
+    bound of hinf_bracket."""
+    return hinf_bracket(A, B, C, D, opts)[0]

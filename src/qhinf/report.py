@@ -72,6 +72,8 @@ def synthesis_report(plant, result: SynthesisResult) -> dict:
             "margin": _num(cert.margin),
             "attenuation_passed": cert.passed,
             "grid_cross_check": _num(cert.grid_value),
+            "witness_margin": _num(cert.witness_margin),
+            "witness_p_min": _num(cert.witness_p_min),
         }
     return rep
 

@@ -114,6 +114,31 @@ class TestCli:
         assert rep["certified"] is True
         assert rep["gamma"] == pytest.approx(1.8)
 
+    def test_reports_carry_the_witness(self, rng, tmp_path, capsys):
+        # synthesize --json and verify keep their keys and lines and add the
+        # bounded-real witness of the passing loop
+        path = self.write_plant(rng, tmp_path)
+        assert main(["synthesize", path, "--json"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert set(rep["closed_loop"]) == {
+            "internally_stable", "hinf", "margin", "attenuation_passed",
+            "grid_cross_check", "witness_margin", "witness_p_min"}
+        assert rep["closed_loop"]["witness_margin"] > 1.0
+        assert rep["closed_loop"]["witness_p_min"] > 0.0
+        assert rep["closed_loop"]["grid_cross_check"] <= rep["closed_loop"]["hinf"]
+        ctl_path = str(tmp_path / "controller.json")
+        plant = instantiate(load_document(path))
+        save_document(document_for(synthesize(plant).controller), ctl_path)
+        for gamma, code, witness in (("1.8", 0, True), ("0.05", 2, False)):
+            assert main(["verify", path, ctl_path, "--gamma", gamma]) == code
+            lines = {k.strip(): v for k, v in (
+                line.split(":", 1)
+                for line in capsys.readouterr().out.splitlines())}
+            assert list(lines) == [
+                "internally stable", "Hinf norm", "gamma", "margin",
+                "grid cross-check", "witness margin", "attenuation"]
+            assert np.isfinite(float(lines["witness margin"])) == witness
+
     def test_synthesize_refusal_exit_two(self, rng, tmp_path, capsys):
         path = self.write_plant(rng, tmp_path)
         code = main(["synthesize", path, "--gamma", "0.05"])
@@ -261,6 +286,9 @@ class TestCli:
         ["example", "dpa", "--gamma", "inf"],
         ["sweep-gamma", "{dpa}", "--min", "1", "--max", "inf", "--steps", "3"],
         ["synthesize", "{dpa}", "--gamma", "1e308"],
+        # the first document must be a plant
+        ["verify", "{slh}", "{ctl}"],
+        ["verify", "{ctl}", "{ctl}"],
     ])
     def test_invalid_input_exit_one(self, argv, tmp_path, capsys):
         spec = devices.DpaSpec(2.0, 4.0, 1.0, 1.5)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import random_sym_plant
 from qhinf import linalg
 from qhinf.errors import ImaginaryAxisError
-from qhinf.linalg import (hinf_norm, hinf_norm_grid,
+from qhinf.linalg import (hinf_bracket, hinf_norm,
                           is_hurwitz, is_positive_semidefinite,
                           max_singular_value,
                           min_singular_value, ordered_schur_split,
@@ -22,6 +22,37 @@ from qhinf.verify import close_loop
 def stable_matrix(rng, n, shift=0.5):
     A = rng.normal(size=(n, n))
     return A - (np.max(np.linalg.eigvals(A).real) + shift) * np.eye(n)
+
+
+# log-spaced probe frequencies of the grid (w = 0 and |Im lambda| are added)
+_N_GRID = 2000
+
+
+def _probe_frequencies(poles: np.ndarray) -> np.ndarray:
+    lam = poles if poles.size else np.array([1.0 + 0j])
+    mags = np.abs(lam)
+    lo = max(1e-8, 1e-3 * float(np.min(mags[mags > 0], initial=1.0)))
+    hi = max(10.0, 1e3 * float(np.max(mags, initial=1.0)))
+    grid = np.geomspace(lo, hi, _N_GRID)
+    res = np.abs(lam.imag)
+    return np.unique(np.concatenate([[0.0], grid, res[res > 0]]))
+
+
+def hinf_norm_grid(A, B, C, D, opts=DEFAULT) -> tuple[float, float]:
+    """Lower-bound the H-infinity norm on a dense log frequency grid.
+
+    Returns (max gain, frequency achieving it).  An independent check of
+    the level-set norm: the grid can only under-estimate.
+    """
+    A, B, C, D = map(np.asarray, (A, B, C, D))
+    resp = linalg.Response(A, B, C, D, opts)
+    w = _probe_frequencies(resp.poles)
+    g = resp.gains(w)
+    i = int(np.argmax(g))
+    best = max_singular_value(D)
+    if g[i] > best:
+        return float(g[i]), float(w[i])
+    return best, np.inf
 
 
 def crosses(A, B, C, gamma):
@@ -182,6 +213,13 @@ class TestHinfNorm:
         gval, _ = hinf_norm_grid(A, B, C, D)
         assert gval <= val * (1 + 1e-6)
         assert abs(val - gval) <= 1e-3 * max(1.0, val)
+        # the bracket: a gain attained at w, no grid gain above it by more
+        # than the bracket's width, and the proven bound on top
+        upper, gain, w = hinf_bracket(A, B, C, D)
+        assert upper == val
+        assert gain == pytest.approx(
+            linalg.Response(A, B, C, D).gains([w])[0], rel=1e-12)
+        assert gval <= gain * (1 + 4 * DEFAULT.hinf_tol) and gain <= upper
 
     def test_no_under_report_non_normal(self):
         # strongly non-normal A puts narrow peaks between grid points, and

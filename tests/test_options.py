@@ -25,15 +25,6 @@ ALLOWED_LITERALS = {
     ("synth.py", "tol: float = 1e-6) -> float:"):
         "min_certified_gamma's documented bisection width, a request about "
         "the answer's resolution rather than a numerical decision",
-    ("linalg.py",
-     "lo = max(1e-8, 1e-3 * float(np.min(mags[mags > 0], initial=1.0)))"):
-        "_probe_frequencies' lowest grid frequency: three decades below the "
-        "slowest pole, floored at 1e-8; where the cross-check grid starts, "
-        "not a numerical decision",
-    ("linalg.py", "hi = max(10.0, 1e3 * float(np.max(mags, initial=1.0)))"):
-        "_probe_frequencies' highest grid frequency: three decades above the "
-        "fastest pole; where the cross-check grid ends, not a numerical "
-        "decision",
     ("qls.py", "hit = s[gap < 1e-12 * np.maximum(1.0, np.abs(s))]"):
         "refuse_poles' root filter for transfer_matrix and `qhinf freqresp`: "
         "whether s is a pole of the system, not a pipeline tolerance",

@@ -1,15 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_sym_plant
+from conftest import random_passive_plant, random_sym_plant
 from qhinf.errors import DimensionError, OracleError
-from qhinf.linalg import is_hurwitz
+from qhinf.linalg import Response, is_hurwitz
+from qhinf.passive import passive_gamma_threshold, synthesize_passive
 from qhinf.plant import build_plant
-from qhinf.synth import synthesize
-from qhinf.verify import (are_oracle, attenuation_certificate, close_loop,
+from qhinf.synth import min_certified_gamma, synthesize
+from qhinf.verify import (are_oracle, attenuation_certificate,
+                          bounded_real_witness, close_loop,
                           _stabilizing_riccati)
+from test_acceptance import certified_cases
 
 
 class TestRiccatiOracle:
@@ -38,6 +43,18 @@ class TestRiccatiOracle:
                               + orc.Y @ N @ orc.Y) < 1e-8
         assert is_hurwitz(plant.Ax + M @ orc.X)
         assert is_hurwitz(plant.Ay + orc.Y @ N)
+
+    def test_constant_term_and_complex_data(self, rng):
+        # the control Riccati A^H X + X A - X G G^H X + Q = 0 (Q > 0) on
+        # complex data: the stabilizing X is Hermitian, A + M X is Hurwitz
+        n = 3
+        A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        G = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+        M, Q = -G @ G.conj().T, np.eye(n)
+        X = _stabilizing_riccati(A, M, Q=Q)
+        assert np.linalg.norm(A.conj().T @ X + X @ A + X @ M @ X + Q) < 1e-10
+        assert np.allclose(X, X.conj().T)
+        assert is_hurwitz(A + M @ X)
 
     def test_axis_eigenvalue_raises(self):
         # zero drift, zero forcing: Hamiltonian spectrum sits on the axis
@@ -81,3 +98,106 @@ class TestClosedLoop:
         rep = attenuation_certificate(cl)
         assert not rep.passed
         assert rep.hinf == float("inf")
+        assert np.isnan(rep.witness_margin) and np.isnan(rep.witness_p_min)
+        # no witness even when the loop is claimed stable with a small norm
+        assert bounded_real_witness(
+            replace(cl, internally_stable=True, hinf=1.0)) is None
+
+
+def synthesized_loops(maker, seed, factors, draws=40):
+    """Closed loops of the central controller at gamma* times each factor,
+    on sym or passive draws of 1-4 modes.  gamma* is the passive plant's
+    closed form, or a bisection to 1e-10."""
+    rng = np.random.default_rng(seed)
+    for i in range(draws):
+        plant = maker(rng, 1 + i % 4)
+        if maker is random_passive_plant:
+            route = synthesize_passive
+            g = passive_gamma_threshold(plant).gamma_star
+        else:
+            route = synthesize
+            g = min_certified_gamma(plant, 1e-3, 50.0, tol=1e-10)
+        for f in factors:
+            at = plant.with_gamma(g * f)
+            res = route(at)
+            assert res.certified
+            yield close_loop(at, res.controller)
+
+
+def assert_bounded_real(cl, P):
+    """Recompute the strict bounded real lemma for P: P > 0 and
+    [[A^H P + P A + C^H C, P B], [B^H P, -gamma^2 I]] < 0."""
+    A, B, C = cl.A, cl.B, cl.C
+    assert np.allclose(P, P.conj().T, rtol=0.0, atol=1e-12 * np.abs(P).max())
+    PB = P @ B
+    L = np.block([[A.conj().T @ P + P @ A + C.conj().T @ C, PB],
+                  [PB.conj().T, -cl.gamma ** 2 * np.eye(B.shape[1])]])
+    assert np.linalg.eigvalsh(0.5 * (P + P.conj().T))[0] > 0.0
+    assert np.linalg.eigvalsh(0.5 * (L + L.conj().T))[-1] < 0.0
+
+
+class TestBoundedRealWitness:
+    def test_witness_for_every_passing_loop(self):
+        # a witness exists for every passing loop of the sym ensemble (80 of
+        # 80, margins down to 4.95e-5 gamma at 1.01 gamma*), and for every
+        # one of the devices and the passive ensemble with a relative margin
+        # of at least 1e-4
+        sym = list(synthesized_loops(random_sym_plant, 3, (1.01, 1.5)))
+        others = [close_loop(p, route(p).controller)
+                  for p, route in certified_cases()]
+        others += synthesized_loops(random_passive_plant, 4, (1.05, 1.5),
+                                    draws=20)
+        assert all(attenuation_certificate(cl).passed for cl in sym + others)
+        loops = sym + [cl for cl in others
+                       if cl.gamma - cl.hinf >= 1e-4 * cl.gamma]
+        assert len(sym) == 80 and len(loops) == 133
+        for cl in loops:
+            witness = bounded_real_witness(cl)
+            assert witness is not None
+            P, margin, p_min = witness
+            assert_bounded_real(cl, P)
+            rep = attenuation_certificate(cl)
+            assert (rep.witness_margin, rep.witness_p_min) == (margin, p_min)
+            assert margin > 1.0 and p_min > 0.0
+
+    def test_gamma_below_norm_has_none(self, rng):
+        plant = random_sym_plant(rng, gamma=2.0)
+        ctl = synthesize(plant).controller
+        norm = close_loop(plant, ctl).hinf
+        cl = close_loop(plant.with_gamma(0.9 * norm), ctl)
+        rep = attenuation_certificate(cl)
+        assert not rep.passed
+        assert np.isnan(rep.witness_margin) and np.isnan(rep.witness_p_min)
+        # a wrong norm below gamma cannot buy a witness: no P proves a bound
+        # the loop does not meet
+        assert bounded_real_witness(replace(cl, hinf=0.5 * cl.gamma)) is None
+
+    def test_near_threshold_passes_without_witness(self):
+        # at gamma* (1 + 1e-4) the central loop's norm sits 3e-9 gamma below
+        # gamma (1.5 bracket widths of 2 hinf_tol), under the Riccati's
+        # perturbation eps = hinf_tol |C^H C|: the loop passes on the
+        # Hamiltonian test alone, which is why the witness does not gate it
+        for cl in synthesized_loops(random_sym_plant, 3, (1.0 + 1e-4,),
+                                    draws=8):
+            rep = attenuation_certificate(cl)
+            assert rep.passed
+            assert rep.margin < 4.0 * cl.opts.hinf_tol * cl.gamma
+            assert bounded_real_witness(cl) is None
+            assert np.isnan(rep.witness_margin)
+
+
+class TestReportFields:
+    def test_fields_come_from_the_bracket(self):
+        # grid_value is a gain attained at worst_frequency, so it falls short
+        # of the proven bound hinf by at most the bracket's width
+        loops = [close_loop(p, route(p).controller)
+                 for p, route in certified_cases()]
+        loops += synthesized_loops(random_passive_plant, 4, (1.5,), draws=8)
+        for cl in loops:
+            rep = attenuation_certificate(cl)
+            gain = Response(cl.A, cl.B, cl.C, cl.D).gains([rep.worst_frequency])
+            assert rep.grid_value == pytest.approx(gain[0], rel=1e-12)
+            assert rep.grid_value <= rep.hinf
+            assert rep.grid_agreement == pytest.approx(
+                (rep.hinf - rep.grid_value) / rep.hinf)
+            assert rep.grid_agreement < 1e-4
