@@ -15,7 +15,7 @@ from . import devices, docio, linalg, qls, report
 from .errors import AssumptionError, ParameterError, QhinfError, positive_gamma
 from .options import DEFAULT, NumericOptions
 from .passive import PassivePlant, passive_gamma_threshold, synthesize_passive
-from .plant import HinfPlant
+from .plant import HinfPlant, Plant
 from .qls import SlhModel
 from .synth import Controller, build_controller, synthesize
 from .verify import are_oracle, attenuation_certificate, close_loop
@@ -47,12 +47,19 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _synthesize_any(obj):
-    if isinstance(obj, PassivePlant):
-        return synthesize_passive(obj)
-    if isinstance(obj, HinfPlant):
-        return synthesize(obj)
-    raise docio.DocumentError("document does not describe a synthesizable plant")
+def _load_plant(path: str, gamma: float | None) -> Plant:
+    """The plant a document describes, built under the profile at gamma."""
+    opts = _options()
+    plant = docio.instantiate(docio.load_document(path), gamma=gamma, opts=opts)
+    if not isinstance(plant, Plant):
+        raise docio.DocumentError(f"{path}: document does not describe a plant")
+    return plant
+
+
+def _synthesize_any(plant: Plant):
+    if isinstance(plant, PassivePlant):
+        return synthesize_passive(plant)
+    return synthesize(plant)
 
 
 def cmd_check(args) -> int:
@@ -69,7 +76,7 @@ def cmd_check(args) -> int:
                          f" -> {'ok' if pr.passed else 'FAIL'}")
             ok = ok and pr.passed
         lines.append(f"passive              : {qls.is_passive(obj)}")
-    elif isinstance(obj, (HinfPlant, PassivePlant)):
+    elif isinstance(obj, Plant):
         if isinstance(obj, HinfPlant):
             # build_plant has already refused a plant whose residual fails
             lines.append(f"PR (joint plant)     : residual {obj.pr_residual():.3e} -> ok")
@@ -86,9 +93,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    opts = _options()
-    doc = docio.load_document(args.path)
-    obj = docio.instantiate(doc, gamma=args.gamma, opts=opts)
+    obj = _load_plant(args.path, args.gamma)
     if args.method == "oracle":
         if not isinstance(obj, HinfPlant):
             raise docio.DocumentError("oracle method needs a quadrature plant document")
@@ -121,11 +126,7 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    opts = _options()
-    plant = docio.instantiate(docio.load_document(args.plant),
-                              gamma=args.gamma, opts=opts)
-    if not isinstance(plant, (HinfPlant, PassivePlant)):
-        raise docio.DocumentError("first argument must be a plant document")
+    plant = _load_plant(args.plant, args.gamma)
     kdoc = docio.load_document(args.controller)
     if kdoc.kind != "controller":
         raise docio.DocumentError("second argument must be a controller document")
@@ -146,15 +147,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    opts = _options()
-    doc = docio.load_document(args.path)
     positive_gamma(min(args.min, args.max))
     positive_gamma(max(args.min, args.max))
     gammas = np.linspace(args.min, args.max, _count(args.steps, "--steps"))
     # built once, at the first target; with_gamma reaches the others
-    plant = docio.instantiate(doc, gamma=args.min, opts=opts)
-    if not isinstance(plant, (HinfPlant, PassivePlant)):
-        raise docio.DocumentError("sweep-gamma does not apply to this document kind")
+    plant = _load_plant(args.path, args.min)
     rows = []
     for g in map(float, gammas):
         try:
@@ -177,7 +174,7 @@ def cmd_freqresp(args) -> int:
     if isinstance(obj, SlhModel):
         ss = qls.build_complex_system(obj)
         A, B, C, D = ss.A, ss.B, ss.C, ss.D
-    elif isinstance(obj, (HinfPlant, PassivePlant)):
+    elif isinstance(obj, Plant):
         A, B, C = obj.A, obj.B1, obj.C1
         D = np.zeros((C.shape[0], B.shape[1]))
     else:

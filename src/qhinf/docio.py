@@ -15,8 +15,8 @@ import numpy as np
 from .devices import CavitySpec, DpaSpec, build_cavity, build_dpa
 from .errors import QhinfError
 from .options import DEFAULT, NumericOptions
-from .passive import PassivePlant, build_passive_plant
-from .plant import HinfPlant, build_plant
+from .passive import build_passive_plant
+from .plant import HinfPlant, Plant, build_plant
 from .qls import SlhModel
 from .synth import Controller
 
@@ -171,14 +171,11 @@ def document_for(obj, gamma: float | None = None) -> SystemDocument:
             "S": obj.S, "Omega_minus": obj.Omega_minus,
             "Omega_plus": obj.Omega_plus,
             "C_minus": obj.C_minus, "C_plus": obj.C_plus}, gamma=gamma)
-    if isinstance(obj, HinfPlant):
-        return SystemDocument("plant", {
-            "Hmat": obj.Hmat, "C1": obj.C1, "C2": obj.C2,
-            "D12": obj.D12, "D21": obj.D21}, gamma=obj.gamma)
-    if isinstance(obj, PassivePlant):
-        return SystemDocument("passive_plant", {
-            "C1": obj.C1, "C2": obj.C2, "D12": obj.D12, "D21": obj.D21},
-            gamma=obj.gamma)
+    if isinstance(obj, Plant):
+        mats = {"C1": obj.C1, "C2": obj.C2, "D12": obj.D12, "D21": obj.D21}
+        if isinstance(obj, HinfPlant):
+            return SystemDocument("plant", {"Hmat": obj.Hmat, **mats}, gamma=obj.gamma)
+        return SystemDocument("passive_plant", mats, gamma=obj.gamma)
     if isinstance(obj, Controller):
         return SystemDocument("controller", {
             "AK": obj.AK, "BK": obj.BK, "CK": obj.CK}, gamma=gamma)

@@ -1,48 +1,38 @@
-"""Synthesis for passive plants in the annihilation-operator representation.
+"""Passive plants in the annihilation-operator representation.
 
-Passive systems need only the n-dimensional complex description.  The
-shifted generator Ax = (C1^H C1 - C2^H C2)/2 is Hermitian, so the
-stable/anti-stable split is an eigendecomposition with an empty coupling
-block, and the coupling spectral radius rho(XY) is exactly zero: the two
-positivity tests are necessary AND sufficient, giving a sharp attenuation
-threshold gamma*.  Everything after the split is the shared core in synth,
-run with the conjugate transpose as the adjoint.
+Passive systems need only the n-dimensional complex description.
+PassivePlant is the shared plant.Plant with a zero free generator (the
+detuning is rotated away) and the conjugate transpose as the adjoint, so
+its shifted generator Ax = (C1^H C1 - C2^H C2)/2 is Hermitian.  The
+stable/anti-stable split is then an eigendecomposition with an empty
+coupling block, and the coupling spectral radius rho(XY) is exactly zero:
+the two positivity tests are necessary AND sufficient, giving a sharp
+attenuation threshold gamma*.  Everything after the split is the shared
+core in synth.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
 from . import linalg
-from .errors import (DimensionError, StructureError, SynthesisError,
-                     positive_gamma)
+from .errors import SynthesisError
 from .linalg import SchurSplit
 from .options import DEFAULT, NumericOptions
-from .plant import copy_with_gamma
+from .plant import Plant
 from .synth import (SynthesisResult, assemble_xy, build_controller, positivity,
                     riccati_weights, solve_quad)
 
 
 @dataclass
-class PassivePlant:
+class PassivePlant(Plant):
     """Two-channel passive plant (detuning already rotated away).
 
     C1 is the performance coupling (k x n), C2 the measurement coupling
-    (l x n); D12, D21 are unitary feedthroughs.  The shifted generators are
-    Ax (Hermitian) and its mirror Ay = -Ax.
+    (l x n); D12, D21 are unitary.  The free generator is zero, so the
+    shifted generators are Ax (Hermitian) and its mirror Ay = -Ax.
     """
-    C1: np.ndarray
-    C2: np.ndarray
-    D12: np.ndarray
-    D21: np.ndarray
-    gamma: float
-    opts: NumericOptions = field(default=DEFAULT, repr=False, compare=False)
-    A: np.ndarray = field(init=False)
-    B1: np.ndarray = field(init=False)
-    B2: np.ndarray = field(init=False)
-    Ax: np.ndarray = field(init=False)
-    Ay: np.ndarray = field(init=False)
 
     @staticmethod
     def adjoint(M: np.ndarray) -> np.ndarray:
@@ -67,48 +57,21 @@ class PassivePlant:
                           n_stable=sd, n_anti=n - sd, min_abs_real=min_re)
 
     def __post_init__(self):
-        self.C1 = np.atleast_2d(np.asarray(self.C1, dtype=complex))
-        self.C2 = np.atleast_2d(np.asarray(self.C2, dtype=complex))
-        self.D12 = np.atleast_2d(np.asarray(self.D12, dtype=complex))
-        self.D21 = np.atleast_2d(np.asarray(self.D21, dtype=complex))
-        n = self.C1.shape[1]
-        if self.C2.shape[1] != n:
-            raise DimensionError("C1 and C2 must share the state dimension")
-        if self.D12.shape != (self.C1.shape[0],) * 2:
-            raise DimensionError("D12 must be square matching C1 rows")
-        if self.D21.shape != (self.C2.shape[0],) * 2:
-            raise DimensionError("D21 must be square matching C2 rows")
-        tol = self.opts.struct_tol
-        for name, Dm in [("D12", self.D12), ("D21", self.D21)]:
-            if np.linalg.norm(Dm @ Dm.conj().T - np.eye(Dm.shape[0])) > tol * max(
-                    1, Dm.shape[0]):
-                raise StructureError(f"{name} must be unitary")
-        positive_gamma(self.gamma)
-        g1 = 0.5 * self.C1.conj().T @ self.C1
-        g2m = 0.5 * self.C2.conj().T @ self.C2
-        self.A = -g1 - g2m
-        self.B1 = -self.C2.conj().T @ self.D21
-        self.B2 = -self.C1.conj().T @ self.D12
-        self.Ax = g1 - g2m
-        self.Ay = -self.Ax
+        n = np.atleast_2d(self.C1).shape[1]
+        self._build(np.zeros((n, n), dtype=complex))
 
     @property
     def n_modes(self) -> int:
         return self.C1.shape[1]
 
-    def with_gamma(self, gamma: float) -> "PassivePlant":
-        """Same physical data at a different attenuation target."""
-        return copy_with_gamma(self, gamma)
-
 
 def build_passive_plant(C1, C2, D12=None, D21=None, gamma: float = 1.0,
                         opts: NumericOptions = DEFAULT) -> PassivePlant:
-    C1 = np.atleast_2d(np.asarray(C1, dtype=complex))
-    C2 = np.atleast_2d(np.asarray(C2, dtype=complex))
+    """Passive plant whose feedthroughs default to the identity."""
     if D12 is None:
-        D12 = np.eye(C1.shape[0])
+        D12 = np.eye(np.atleast_2d(C1).shape[0])
     if D21 is None:
-        D21 = np.eye(C2.shape[0])
+        D21 = np.eye(np.atleast_2d(C2).shape[0])
     return PassivePlant(C1, C2, D12, D21, gamma, opts=opts)
 
 

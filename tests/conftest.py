@@ -97,6 +97,42 @@ def _realify(M: np.ndarray) -> np.ndarray:
     return np.block([[M.real, -M.imag], [M.imag, M.real]])
 
 
+def _coupled_plant(rng: np.random.Generator, c1: np.ndarray, c2: np.ndarray,
+                   gamma: float) -> HinfPlant:
+    """Realizable quadrature plant with mode-mixing couplings of singular
+    values c1 (performance) and c2 (measurement), plus a random detuning and
+    a squeezing term of norm <= 0.15, so Ax is non-normal."""
+    n_modes, n = len(c1), 2 * len(c1)
+    m = (n_modes,) * 2
+    q = rand_unitary(rng, n_modes)
+    N1 = rand_unitary(rng, n_modes) @ np.diag(c1) @ q
+    N2 = rand_unitary(rng, n_modes) @ np.diag(c2) @ q
+    Om = rng.normal(size=m) + 1j * rng.normal(size=m)
+    Om = 0.5 * (Om + Om.conj().T) / np.sqrt(n_modes)
+    P = rng.normal(size=m) + 1j * rng.normal(size=m)
+    P = 0.5 * (P + P.T)
+    Hs = np.block([[P.real, P.imag], [P.imag, -P.real]])
+    Hs *= 0.15 / max(0.15, np.linalg.norm(j_symplectic(n_modes) @ Hs, 2))
+    return build_plant(_realify(Om) + Hs, _realify(N1), _realify(N2),
+                       np.eye(n), np.eye(n), gamma)
+
+
+def random_general_plant(rng: np.random.Generator, n_modes: int = 2,
+                         side: int = 1, gamma: float = 1.5) -> HinfPlant:
+    """Random realizable quadrature plant whose non-normal shifted generator
+    lies in one half plane: the right one (every mode anti-stable) for
+    side > 0, the left one otherwise.
+
+    One coupling dominates on every mode: the damping part then has
+    eigenvalues of one sign and modulus >= 0.255, the detuning adds only a
+    skew part and the squeezing a symmetric part of norm <= 0.15, so every
+    eigenvalue keeps the damping's sign and one Schur block is empty.
+    """
+    strong, weak = rng.uniform(1.0, 1.5, n_modes), rng.uniform(0.3, 0.7, n_modes)
+    return _coupled_plant(rng, *((strong, weak) if side > 0 else (weak, strong)),
+                          gamma)
+
+
 def random_mixed_plant(rng: np.random.Generator, n_modes: int = 2,
                        gamma: float = 1.5) -> HinfPlant:
     """Random realizable quadrature plant whose shifted generator has
@@ -104,27 +140,18 @@ def random_mixed_plant(rng: np.random.Generator, n_modes: int = 2,
 
     Mode-mixing couplings with the performance coupling dominant on the
     first half of the modes (rounded up) and the measurement coupling on the
-    rest, plus a random detuning and a squeezing term of norm <= 0.15, so Ax
-    is non-normal and its Schur coupling block A12 is nonzero.  Draws whose
-    detuning moves every eigenvalue to one side, or within 0.05 of the
-    imaginary axis, are redrawn.
+    rest (see _coupled_plant), so Ax is non-normal and its Schur coupling
+    block A12 is nonzero.  Draws whose detuning moves every eigenvalue to
+    one side, or within 0.05 of the imaginary axis, are redrawn.  One mode
+    cannot have eigenvalues in both half planes, so n_modes < 2 is refused.
     """
-    k, m = (n_modes + 1) // 2, (n_modes,) * 2
-    n = 2 * n_modes
+    if n_modes < 2:
+        raise ValueError(f"a mixed spectrum needs at least 2 modes, got {n_modes}")
+    k = (n_modes + 1) // 2
     while True:
         c1 = np.r_[rng.uniform(1.0, 1.5, k), rng.uniform(0.3, 0.7, n_modes - k)]
         c2 = np.r_[rng.uniform(0.3, 0.7, k), rng.uniform(1.0, 1.5, n_modes - k)]
-        q = rand_unitary(rng, n_modes)
-        N1 = rand_unitary(rng, n_modes) @ np.diag(c1) @ q
-        N2 = rand_unitary(rng, n_modes) @ np.diag(c2) @ q
-        Om = rng.normal(size=m) + 1j * rng.normal(size=m)
-        Om = 0.5 * (Om + Om.conj().T) / np.sqrt(n_modes)
-        P = rng.normal(size=m) + 1j * rng.normal(size=m)
-        P = 0.5 * (P + P.T)
-        Hs = np.block([[P.real, P.imag], [P.imag, -P.real]])
-        Hs *= 0.15 / max(0.15, np.linalg.norm(j_symplectic(n_modes) @ Hs, 2))
-        plant = build_plant(_realify(Om) + Hs, _realify(N1), _realify(N2),
-                            np.eye(n), np.eye(n), gamma)
+        plant = _coupled_plant(rng, c1, c2, gamma)
         re = np.linalg.eigvals(plant.Ax).real
         if re.min() < -0.05 and re.max() > 0.05 and np.abs(re).min() > 0.05:
             return plant

@@ -289,12 +289,14 @@ class TestCli:
         # the first document must be a plant
         ["verify", "{slh}", "{ctl}"],
         ["verify", "{ctl}", "{ctl}"],
+        # the Riccati oracle serves quadrature plants only
+        ["synthesize", "{cavity}", "--method", "oracle"],
     ])
     def test_invalid_input_exit_one(self, argv, tmp_path, capsys):
         spec = devices.DpaSpec(2.0, 4.0, 1.0, 1.5)
         ctl = synthesize(devices.build_dpa(spec)).controller
         paths = {name: str(tmp_path / f"{name}.json")
-                 for name in ("dpa", "ctl", "ctl3", "slh")}
+                 for name in ("dpa", "ctl", "ctl3", "slh", "cavity")}
         save_document(SystemDocument("slh", {
             "S": np.eye(1), "Omega_minus": np.diag([0.0, 1.0]),
             "Omega_plus": np.zeros((2, 2)), "C_minus": np.array([[1.0, 0.0]]),
@@ -302,6 +304,8 @@ class TestCli:
         save_document(SystemDocument("dpa", {}, params={
             "kappa_w": 2.0, "kappa_u": 4.0, "epsilon": 1.0}, gamma=1.5),
             paths["dpa"])
+        save_document(SystemDocument("cavity", {}, params={
+            "kappa1": 1.0, "kappa2": 4.0}, gamma=0.6), paths["cavity"])
         save_document(document_for(ctl), paths["ctl"])
         # a 3-state drift with the DPA controller's 2-state input/output maps
         save_document(SystemDocument("controller", {

@@ -28,16 +28,24 @@ ALLOWED_LITERALS = {
     ("qls.py", "hit = s[gap < 1e-12 * np.maximum(1.0, np.abs(s))]"):
         "refuse_poles' root filter for transfer_matrix and `qhinf freqresp`: "
         "whether s is a pole of the system, not a pipeline tolerance",
+    ("verify.py", "if linalg.min_singular_value(U1) < 1e-12:"):
+        "the oracle's graph test on a block of an orthonormal basis of the "
+        "invariant subspace, so the bound is already relative",
+    ("verify.py",
+     "agreement = abs(cl.hinf - cl.attained) / max(1e-300, cl.hinf)"):
+        "guards the division of the bracket width by the norm, not a "
+        "numerical decision",
 }
 
 
 def test_no_bare_tolerances():
-    # every threshold in the synthesis modules, the linear-algebra kernel and
-    # the system models reads NumericOptions, so a hard-coded 1e-12 cannot
-    # hide from QHINF_PROFILE
+    # every threshold in the synthesis modules, the verifier, the
+    # linear-algebra kernel and the system models reads NumericOptions, so a
+    # hard-coded 1e-12 cannot hide from QHINF_PROFILE
     src = Path(qhinf.__file__).parent
     found = []
-    for name in ("synth.py", "plant.py", "passive.py", "linalg.py", "qls.py"):
+    for name in ("synth.py", "plant.py", "passive.py", "linalg.py", "qls.py",
+                 "verify.py"):
         text = (src / name).read_text()
         for tok in tokenize.generate_tokens(io.StringIO(text).readline):
             num = tok.string.lower()

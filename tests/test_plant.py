@@ -8,7 +8,7 @@ from qhinf.errors import (AssumptionError, DimensionError, StructureError,
                           SynthesisError)
 from qhinf.passive import (PassivePlant, passive_gamma_threshold,
                            synthesize_passive)
-from qhinf.plant import build_plant
+from qhinf.plant import Plant, build_plant
 from qhinf.qls import j_symplectic, sharp_adjoint
 from qhinf.synth import min_certified_gamma, synthesize
 
@@ -55,6 +55,24 @@ class TestConstruction:
             for bad in (0.0, -1.0):
                 with pytest.raises(ValueError):
                     p.with_gamma(bad)
+
+    def test_one_base_for_both_kinds(self, rng):
+        # both representations share Plant's construction and with_gamma;
+        # each keeps its own dtype and adjoint
+        sym = random_sym_plant(rng)
+        pas = random_passive_plant(rng)
+        for p, dtype in ((sym, float), (pas, complex)):
+            assert isinstance(p, Plant)
+            assert type(p).with_gamma is Plant.with_gamma
+            assert all(getattr(p, k).dtype == dtype
+                       for k in ("C1", "C2", "D12", "D21", "A", "B1", "B2"))
+            mirror = np.linalg.norm(p.Ay + p.adjoint(p.Ax))
+            assert mirror <= 1e-15 * np.linalg.norm(p.Ax)
+        with pytest.raises(DimensionError):   # quadrature channels come in pairs
+            build_plant(np.zeros((2, 2)), np.ones((1, 2)), np.eye(2),
+                        np.eye(1), np.eye(2), 1.0)
+        with pytest.raises(DimensionError, match="C2 must have 2 columns"):
+            PassivePlant(np.eye(2), np.ones((2, 3)), np.eye(2), np.eye(2), 1.0)
 
     def test_rejects_nonsymmetric_hamiltonian(self):
         with pytest.raises(StructureError):

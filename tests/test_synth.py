@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_mixed_plant, random_sym_plant
+from conftest import (random_general_plant, random_mixed_plant,
+                      random_sym_plant)
 from qhinf.devices import DpaSpec, build_dpa
 from qhinf.errors import OracleError
 from qhinf.linalg import is_hurwitz
@@ -166,6 +167,34 @@ class TestCertification:
         assert is_hurwitz(plant.Ax + M @ res.X)
         assert is_hurwitz(plant.Ay + res.Y @ N)
 
+    def test_loop_hurwitz_gates_stop_controllers_that_miss_gamma(self):
+        # just above a one-sided general plant's boundary, positivity and the
+        # rho(XY) margin can pass, so a controller is built, while a loop
+        # matrix Ax + M X or Ay + Y N is not Hurwitz.  Each of the two loop
+        # tests then refuses a controller whose closed loop misses gamma:
+        # neither is implied by the other conditions of certify
+        refused, caught = 0, set()
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            for n_modes in (1, 2, 3, 4):
+                for side in (1, -1):
+                    plant = random_general_plant(rng, n_modes, side)
+                    g = min_certified_gamma(plant, 0.1, 10.0, tol=1e-12)
+                    for k in (10, 11, 12, 13):
+                        at = plant.with_gamma(g * (1 + 10.0 ** -k))
+                        res = synthesize(at)
+                        gates = [r for r in res.failure.split("; ")
+                                 if r.endswith("is not stabilizing")]
+                        if not gates:
+                            continue
+                        refused += 1
+                        assert res.controller is not None
+                        cert = attenuation_certificate(close_loop(at, res.controller))
+                        if not cert.passed:
+                            caught.update(gates)
+        assert refused
+        assert caught == {"X is not stabilizing", "Y is not stabilizing"}
+
 
 class TestSigmaDiagnostics:
     def test_sigma_product_matches_svd(self):
@@ -224,6 +253,11 @@ class TestMixedSpectrum:
             except OracleError:
                 want = False
             assert synthesize(plant).certified == want
+
+    def test_one_mode_is_refused(self):
+        # one mode has a single damping sign, so no redraw could be mixed
+        with pytest.raises(ValueError, match="at least 2 modes"):
+            random_mixed_plant(np.random.default_rng(0), 1)
 
     def test_certified_loop_meets_gamma(self):
         for plant in _mixed_draws():
