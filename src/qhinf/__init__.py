@@ -8,10 +8,12 @@ from .qls import (SlhModel, StateSpace, build_complex_system,
                   sharp_adjoint, stability_and_minimality, to_complex_doubled,
                   to_quadrature, transfer_matrix)
 from .plant import HinfPlant, build_plant
-from .synth import (Controller, LyapunovQuad, SynthesisResult,
-                    build_controller, min_certified_gamma, synthesize)
+from .synth import (Controller, LyapunovQuad, Prepared, SynthesisResult,
+                    build_controller, min_certified_gamma, prepare,
+                    synthesize, synthesize_at)
 from .passive import (PassivePlant, PassiveThreshold, build_passive_plant,
-                      passive_gamma_threshold, synthesize_passive)
+                      passive_gamma_threshold, synthesize_passive,
+                      synthesize_passive_at)
 from .verify import (AttenuationReport, ClosedLoop, OracleResult, are_oracle,
                      attenuation_certificate, close_loop)
 from .devices import (CavitySpec, DpaSpec, build_cavity, build_dpa,

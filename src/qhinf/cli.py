@@ -6,6 +6,7 @@ QHINF_PROFILE environment variable (default | strict | loose).
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -14,10 +15,12 @@ import numpy as np
 from . import devices, docio, linalg, qls, report
 from .errors import AssumptionError, ParameterError, QhinfError, positive_gamma
 from .options import DEFAULT, NumericOptions
-from .passive import PassivePlant, passive_gamma_threshold, synthesize_passive
+from .passive import (PassivePlant, passive_gamma_threshold,
+                      synthesize_passive, synthesize_passive_at)
 from .plant import HinfPlant, Plant
 from .qls import SlhModel
-from .synth import Controller, build_controller, synthesize
+from .synth import (Controller, Prepared, build_controller, prepare,
+                    synthesize, synthesize_at)
 from .verify import are_oracle, attenuation_certificate, close_loop
 
 PROFILES = {
@@ -56,10 +59,10 @@ def _load_plant(path: str, gamma: float | None) -> Plant:
     return plant
 
 
-def _synthesize_any(plant: Plant):
-    if isinstance(plant, PassivePlant):
-        return synthesize_passive(plant)
-    return synthesize(plant)
+def _synthesize_at(prep: Prepared, gamma: float):
+    if isinstance(prep.plant, PassivePlant):
+        return synthesize_passive_at(prep, gamma)
+    return synthesize_at(prep, gamma)
 
 
 def cmd_check(args) -> int:
@@ -119,7 +122,7 @@ def cmd_synthesize(args) -> int:
             f"closed-loop Hinf     : {cert.hinf:.10g}\n")
         _emit(text, args.out)
         return 0 if oracle.certified else 2
-    result = _synthesize_any(obj)
+    result = _synthesize_at(prepare(obj), obj.gamma)
     rep = report.synthesis_report(obj, result)
     _emit(report.render_json(rep) if args.json else report.render_text(rep), args.out)
     return 0 if result.certified else 2
@@ -150,19 +153,25 @@ def cmd_sweep(args) -> int:
     positive_gamma(min(args.min, args.max))
     positive_gamma(max(args.min, args.max))
     gammas = np.linspace(args.min, args.max, _count(args.steps, "--steps"))
-    # built once, at the first target; with_gamma reaches the others
+    # built, split and solved once, at the first target; every target
+    # reuses the split and the four Lyapunov solutions
     plant = _load_plant(args.path, args.min)
+    try:
+        prep = prepare(plant)
+    except QhinfError:   # the split or a solve refuses every target
+        prep = None
     rows = []
     for g in map(float, gammas):
-        try:
-            at_g = plant.with_gamma(g)
-            res = _synthesize_any(at_g)
-            hinf = float("nan")
-            if res.certified:   # one rho(XY) margin gates it and the controller
-                hinf = close_loop(at_g, res.controller).hinf
-            rows.append([g, int(res.certified), hinf])
-        except QhinfError:
-            rows.append([g, 0, float("nan")])
+        certified, hinf = 0, float("nan")
+        if prep is not None:
+            try:
+                res = _synthesize_at(prep, g)
+                if res.certified:   # one rho(XY) margin gates it and the controller
+                    hinf = close_loop(plant.with_gamma(g), res.controller).hinf
+                    certified = 1
+            except QhinfError:
+                pass   # the target is refused
+        rows.append([g, certified, hinf])
     _emit(docio.csv_text(["gamma", "certified", "hinf"], rows), args.out)
     return 0 if any(r[1] for r in rows) else 2
 
@@ -254,7 +263,10 @@ def cmd_example(args) -> int:
     return 0 if ok else 2
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parse_args leaves it
+    unchanged, so every call of main shares it."""
     p = argparse.ArgumentParser(
         prog="qhinf",
         description="Coherent-feedback H-infinity synthesis for quantum "

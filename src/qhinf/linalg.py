@@ -1,8 +1,10 @@
 """Dense linear-algebra kernel used by the synthesis pipeline.
 
 Thin, checked wrappers around numpy/scipy factorizations plus the solvers
-the pipeline is built on: a Bartels-Stewart Lyapunov solver (one Schur form
-and LAPACK trsyl, O(n^3)), Response, the one evaluator of the frequency
+the pipeline is built on: a Bartels-Stewart Lyapunov solver in two halves
+(solve_lyapunov: one Schur form, then solve_lyapunov_schur: LAPACK trsyl,
+O(n^3) together; the pipeline's split blocks are already in Schur form and
+go straight to the second half), Response, the one evaluator of the frequency
 response G(s), and a level-set H-infinity norm (a few Hamiltonian
 eigenvalue tests) that brackets the norm between a gain it attains and a
 bound it proves.  Everything works on complex input; real input stays real
@@ -70,37 +72,58 @@ def solve_lyapunov(A: np.ndarray, Q: np.ndarray,
 
     Bartels-Stewart (CACM 15(9), 1972): with the Schur form A = Z T Z^H
     (real quasi-triangular for real data, complex triangular otherwise),
-    LAPACK trsyl solves T Pt + Pt T^H = -Z^H Q Z by back substitution and
-    P = Z Pt Z^H.  O(n^3) time and O(n^2) memory.  Solvable whenever no pair
+    solve_lyapunov_schur solves T Pt + Pt T^H + Z^H Q Z = 0 and P = Z Pt Z^H,
+    symmetrized.  O(n^3) time and O(n^2) memory.  Solvable whenever no pair
     of eigenvalues satisfies lambda_i + conj(lambda_j) = 0; in the pipeline A
-    is always Hurwitz (or -A is), which guarantees this.  Output is
-    symmetrized and realified when the data are real.
+    is always Hurwitz (or -A is), which guarantees this.
     """
     A = _as_square(A, "A")
     Q = _as_square(Q, "Q")
-    n = A.shape[0]
-    if Q.shape[0] != n:
+    if Q.shape != A.shape:
         raise DimensionError(f"A is {A.shape}, Q is {Q.shape}")
+    if A.shape[0] == 0:
+        return np.zeros((0, 0))
+    real = np.isrealobj(A) and np.isrealobj(Q)
+    T, Z = sla.schur(A, output="real" if real else "complex")
+    P = Z @ solve_lyapunov_schur(T, Z.conj().T @ Q @ Z, opts) @ Z.conj().T
+    return 0.5 * (P + P.conj().T)
+
+
+def solve_lyapunov_schur(T: np.ndarray, Q: np.ndarray,
+                         opts: NumericOptions = DEFAULT) -> np.ndarray:
+    """Solve T P + P T^H + Q = 0 for Hermitian P when T is already in
+    LAPACK's Schur form (upper triangular, or real quasi-triangular with
+    standardized 2x2 blocks), as the blocks of both plants' splits are.
+
+    The triangular half of solve_lyapunov, without its Schur factorization:
+    LAPACK trsyl by back substitution (O(n^3), a fraction of the Schur
+    form's cost), the scale trsyl reports, and symmetrization.  Real data
+    give a real P.
+    Raises ImaginaryAxisError when trsyl finds the operator singular or the
+    residual exceeds residual_tol; the residual is taken with T itself, so
+    it also refuses a T that is not in Schur form.
+    """
+    T = _as_square(T, "T")
+    Q = _as_square(Q, "Q")
+    n = T.shape[0]
+    if Q.shape[0] != n:
+        raise DimensionError(f"T is {T.shape}, Q is {Q.shape}")
     if n == 0:
         return np.zeros((0, 0))
     scale = max(1.0, float(np.linalg.norm(Q)))
     if np.linalg.norm(Q - Q.conj().T) > opts.struct_tol * scale:
         raise ValueError("Q must be Hermitian")
-    real = np.isrealobj(A) and np.isrealobj(Q)
-    T, Z = sla.schur(A, output="real" if real else "complex")
-    C = -(Z.conj().T @ Q @ Z)
-    trsyl, = sla.get_lapack_funcs(("trsyl",), (T, C))
-    Pt, trsyl_scale, info = trsyl(T, T, C, tranb="T" if real else "C")
+    real = np.isrealobj(T) and np.isrealobj(Q)
+    trsyl, = sla.get_lapack_funcs(("trsyl",), (T, Q))
+    Pt, trsyl_scale, info = trsyl(T, T, -Q, tranb="T" if real else "C")
     if info != 0:
         # info == 1: lambda_i + conj(lambda_j) (near) zero, trsyl perturbed
         raise ImaginaryAxisError(
             "Lyapunov operator is singular: eigenvalue pair with "
             "lambda_i + conj(lambda_j) = 0")
-    P = Z @ (Pt / trsyl_scale) @ Z.conj().T
+    P = Pt / trsyl_scale
     P = 0.5 * (P + P.conj().T)
-    if real:
-        P = P.real
-    resid = np.linalg.norm(A @ P + P @ A.conj().T + Q)
+    resid = np.linalg.norm(T @ P + P @ T.conj().T + Q)
     if resid > opts.residual_tol * max(1.0, np.linalg.norm(Q), np.linalg.norm(P)):
         raise ImaginaryAxisError(
             f"Lyapunov solve residual {resid:.3e} too large; "

@@ -21,8 +21,8 @@ from .errors import SynthesisError
 from .linalg import SchurSplit
 from .options import DEFAULT, NumericOptions
 from .plant import Plant
-from .synth import (SynthesisResult, assemble_xy, build_controller, positivity,
-                    riccati_weights, solve_quad)
+from .synth import (Prepared, SynthesisResult, assemble_xy, build_controller,
+                    positivity, prepare, riccati_residuals, riccati_weights)
 
 
 @dataclass
@@ -75,27 +75,32 @@ def build_passive_plant(C1, C2, D12=None, D21=None, gamma: float = 1.0,
     return PassivePlant(C1, C2, D12, D21, gamma, opts=opts)
 
 
-def synthesize_passive(plant: PassivePlant) -> SynthesisResult:
-    """Lyapunov-based synthesis for a passive plant.
+def synthesize_passive_at(prep: Prepared, gamma: float) -> SynthesisResult:
+    """Lyapunov-based synthesis at gamma on a prepared passive plant.
 
     X is supported on the anti-stable eigenspace of Ax and Y on the stable
     one, so rho(XY) = 0 identically and certification reduces to positive
     definiteness of S - T/gamma^2 and U - V/gamma^2.
     """
-    split = plant.split()
-    quad = solve_quad(plant, split)
+    plant, quad = prep.at(gamma)
     diagnostics, failure, _ = positivity(quad.SmTg, quad.UmVg, plant.opts)
     if failure:
         return SynthesisResult(plant.gamma, None, quad, None, None, None,
                                0.0, False, None, certified=False,
                                regime="passive", failure=failure,
                                diagnostics=diagnostics)
-    X, Y, rho_xy, residuals, _ = assemble_xy(plant, split, quad,
-                                             riccati_weights(plant))
+    weights = riccati_weights(plant)
+    X, Y, rho_xy, _ = assemble_xy(plant, prep.split, quad)
     controller = build_controller(plant, X, Y)
     return SynthesisResult(plant.gamma, None, quad, X, Y, None, rho_xy,
                            True, controller, certified=True, regime="passive",
-                           diagnostics={**diagnostics, **residuals})
+                           diagnostics={**diagnostics, **riccati_residuals(
+                               plant, X, Y, weights)})
+
+
+def synthesize_passive(plant: PassivePlant) -> SynthesisResult:
+    """prepare, then synthesize_passive_at the plant's own gamma."""
+    return synthesize_passive_at(prepare(plant), plant.gamma)
 
 
 @dataclass
@@ -118,9 +123,9 @@ class PassiveThreshold:
 
 def passive_gamma_threshold(plant: PassivePlant) -> PassiveThreshold:
     """gamma* with S - T/g^2 > 0 and U - V/g^2 > 0 exactly for g > gamma*."""
-    quad = solve_quad(plant, plant.split())
+    prep = prepare(plant)
     # S and U are the two blocks at gamma = infinity
-    flags, _, _ = positivity(quad.S, quad.U, plant.opts)
+    flags, _, _ = positivity(prep.S, prep.U, plant.opts)
     if not all(flags.values()):
         raise SynthesisError(
             "degenerate Lyapunov pair: the forced block is not positive "
@@ -132,8 +137,8 @@ def passive_gamma_threshold(plant: PassivePlant) -> PassiveThreshold:
             return 0.0
         return float(max(0.0, np.max(sla.eigvalsh(num, den).real)))
 
-    t_x = block_threshold(quad.T, quad.S)
-    t_y = block_threshold(quad.V, quad.U)
+    t_x = block_threshold(prep.T, prep.S)
+    t_y = block_threshold(prep.V, prep.U)
     binding = "performance" if t_x >= t_y else "measurement"
     return PassiveThreshold(float(np.sqrt(max(t_x, t_y))), binding,
                             lam_ts=t_x, lam_vu=t_y)

@@ -9,6 +9,14 @@ spectral-radius coupling rho(XY) < 1 and the stabilizing (Hurwitz) properties
 directly; the singular-value short-cut tests are reported as diagnostics,
 and are necessary-and-sufficient only in the symmetric-Ax regime.
 
+Only S - T/gamma^2, U - V/gamma^2 and what follows depend on gamma, so a
+synthesis has two stages.  prepare does the gamma-independent work once per
+plant: the split and the four Lyapunov solutions S, T, U, V.  At each gamma,
+verdict forms the two differences, tests their positivity, assembles X and Y
+and decides, and synthesize_at adds the controller and the diagnostics.
+synthesize is prepare then synthesize_at; min_certified_gamma and
+`qhinf sweep-gamma` prepare once and reuse it at every gamma.
+
 The four solves, the X/Y assembly and the controller serve both plant kinds;
 a plant supplies its shifted generators Ax, Ay and its adjoint.
 """
@@ -21,7 +29,7 @@ from . import linalg
 from .errors import AssumptionError, SynthesisError
 from .linalg import SchurSplit
 from .options import DEFAULT, NumericOptions
-from .plant import HinfPlant
+from .plant import HinfPlant, Plant
 
 
 @dataclass
@@ -77,7 +85,29 @@ class SynthesisResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def solve_quad(plant, split: SchurSplit) -> LyapunovQuad:
+@dataclass
+class Prepared:
+    """The gamma-independent stage of a synthesis: the plant, its
+    stable/anti-stable split and the four Lyapunov solutions on it.  Every
+    gamma reuses them; only S - T/gamma^2, U - V/gamma^2 and what follows
+    depend on gamma."""
+    plant: Plant
+    split: SchurSplit
+    S: np.ndarray
+    T: np.ndarray
+    U: np.ndarray
+    V: np.ndarray
+
+    def at(self, gamma: float) -> tuple[Plant, LyapunovQuad]:
+        """The plant at gamma and the Lyapunov data with their differences
+        at gamma."""
+        plant = self.plant.with_gamma(gamma)
+        g2 = plant.gamma ** 2
+        return plant, LyapunovQuad(self.S, self.T, self.U, self.V,
+                                   self.S - self.T / g2, self.U - self.V / g2)
+
+
+def solve_quad(plant, split: SchurSplit) -> Prepared:
     """Solve the four Lyapunov equations on the split subspaces.
 
     With B1x = W B1, B2x = W B2 partitioned conformally (subscript 1 stable,
@@ -88,26 +118,35 @@ def solve_quad(plant, split: SchurSplit) -> LyapunovQuad:
          Ax1 U + U Ax1^H + B1x1 B1x1^H = 0      (stable pair)
          Ax1 V + V Ax1^H + B2x1 B2x1^H = 0
 
-    Empty blocks give zero-dimensional members and the pipeline degenerates
-    to two equations.
+    The split's blocks Ax1 = A11 and Ax3 = A22 are already in Schur form, so
+    each solve is linalg.solve_lyapunov_schur, with no Schur factorization
+    of its own.  Empty blocks give zero-dimensional members and the pipeline
+    degenerates to two equations.
     """
     sd = split.n_stable
     B1x, B2x = split.W @ plant.B1, split.W @ plant.B2
-    g2, opts = plant.gamma ** 2, plant.opts
-    S = linalg.solve_lyapunov(-split.A22, B2x[sd:] @ B2x[sd:].conj().T, opts)
-    T = linalg.solve_lyapunov(-split.A22, B1x[sd:] @ B1x[sd:].conj().T, opts)
-    U = linalg.solve_lyapunov(split.A11, B1x[:sd] @ B1x[:sd].conj().T, opts)
-    V = linalg.solve_lyapunov(split.A11, B2x[:sd] @ B2x[:sd].conj().T, opts)
-    return LyapunovQuad(S, T, U, V, S - T / g2, U - V / g2)
+
+    def lyap(A, B):
+        return linalg.solve_lyapunov_schur(A, B @ B.conj().T, plant.opts)
+
+    return Prepared(plant, split,
+                    lyap(-split.A22, B2x[sd:]), lyap(-split.A22, B1x[sd:]),
+                    lyap(split.A11, B1x[:sd]), lyap(split.A11, B2x[:sd]))
+
+
+def prepare(plant: Plant) -> Prepared:
+    """Split Ax and solve the four Lyapunov equations, once per plant.  The
+    split raises an AssumptionError when the spectral assumption fails."""
+    return solve_quad(plant, plant.split())
 
 
 def positivity(SmTg: np.ndarray, UmVg: np.ndarray,
                opts: NumericOptions = DEFAULT) -> tuple[dict, str, tuple]:
     """Decide S - T/gamma^2 > 0 and U - V/gamma^2 > 0, each by one eigvalsh:
-    lambda_min > pd_tol max(1, ||block||_F).  solve_lyapunov's blocks are
+    lambda_min > pd_tol max(1, ||block||_F).  The Lyapunov solutions are
     exactly Hermitian.  Returns the flags (an empty block passes), the
     refusal naming every failing block ("" if none) and the two lambda_min
-    (inf for an empty block), which certify's sigma short-cut reads."""
+    (inf for an empty block), which synthesize_at's sigma short-cut reads."""
     lam_min = tuple(float(np.linalg.eigvalsh(P)[0]) if P.size else np.inf
                     for P in (SmTg, UmVg))
     flags = {key: bool(lam > opts.pd_tol * max(1.0, float(np.linalg.norm(P))))
@@ -124,13 +163,12 @@ def riccati_weights(plant) -> tuple[np.ndarray, np.ndarray]:
             plant.C1.conj().T @ plant.C1 - g2 * plant.C2.conj().T @ plant.C2)
 
 
-def assemble_xy(plant, split: SchurSplit, quad: LyapunovQuad, weights):
+def assemble_xy(plant, split: SchurSplit, quad: LyapunovQuad):
     """Build the stabilizing Riccati solutions X, Y from the Lyapunov data.
 
     X = W^H diag(0, (S - T/g^2)^-1) W and Y = adj(W^H diag((U - V/g^2)^-1, 0) W)
     / g^2 with the plant's adjoint.  Requires SmTg and UmVg positive definite
-    (see positivity).  Returns (X, Y, rho_xy, Riccati residuals,
-    (U - V/g^2)^-1).
+    (see positivity).  Returns (X, Y, rho_xy, (U - V/g^2)^-1).
     """
     n = plant.A.shape[0]
     sd = split.n_stable
@@ -143,15 +181,18 @@ def assemble_xy(plant, split: SchurSplit, quad: LyapunovQuad, weights):
     X = W.conj().T @ Xt @ W
     Y = plant.adjoint(W.conj().T @ Yt @ W) / plant.gamma ** 2
     X, Y = 0.5 * (X + X.conj().T), 0.5 * (Y + Y.conj().T)
+    return X, Y, linalg.spectral_radius(X @ Y), UmVg_inv
 
+
+def riccati_residuals(plant, X: np.ndarray, Y: np.ndarray, weights) -> dict:
+    """Frobenius residuals of the two Riccati equations X and Y solve."""
     M, N = weights
-    residuals = {
+    return {
         "are_residual_x": float(np.linalg.norm(
             plant.Ax.conj().T @ X + X @ plant.Ax + X @ M @ X)),
         "are_residual_y": float(np.linalg.norm(
             plant.Ay @ Y + Y @ plant.Ay.conj().T + Y @ N @ Y)),
     }
-    return X, Y, linalg.spectral_radius(X @ Y), residuals, UmVg_inv
 
 
 def _is_symmetric_regime(Ax: np.ndarray, Z: np.ndarray, opts: NumericOptions) -> bool:
@@ -162,23 +203,17 @@ def _is_symmetric_regime(Ax: np.ndarray, Z: np.ndarray, opts: NumericOptions) ->
     return bool(sym and z_id <= opts.struct_tol * n2)
 
 
-def certify(plant: HinfPlant, split: SchurSplit, lam_min: tuple,
-            X: np.ndarray, Y: np.ndarray, Z: np.ndarray, rho_xy: float,
-            rho_ok: bool, weights, UmVg_inv) -> tuple[bool, bool, str, dict]:
-    """Decide whether the assembled (X, Y) certify the attenuation target.
+def certify(plant: HinfPlant, split: SchurSplit, X: np.ndarray,
+            Y: np.ndarray, rho_xy: float, rho_ok: bool, weights,
+            UmVg_inv) -> tuple[list[str], dict]:
+    """The conditions the assembled (X, Y) must meet to certify the target.
 
-    The operative conditions are the direct ones: rho(XY) < 1 - pd_tol
-    (rho_ok, the caller's verdict, which also gates the controller),
-    cross-block compatibility, and Hurwitz stability of the two loop
-    matrices Ax + M X and Ay + Y N.  The singular-value short-cut
-    sigma_max((S-T/g^2)^{-1}) sigma_max((U-V/g^2)^{-1}) < g^2 is recorded;
-    when Ax is symmetric and Z is (up to sign) the identity it is an exact
-    characterization and the result is labeled "symmetric-iff", otherwise it
-    is only sufficient and rho(XY) rules.  lam_min is positivity's pair of
-    smallest eigenvalues, UmVg_inv is assemble_xy's (U - V/g^2)^-1.
-    Returns (certified, sigma_condition, regime, diagnostics).
+    They are the direct ones: rho(XY) < 1 - pd_tol (rho_ok, the caller's
+    verdict, which also gates the controller), cross-block compatibility,
+    and Hurwitz stability of the two loop matrices Ax + M X and Ay + Y N.
+    UmVg_inv is assemble_xy's (U - V/g^2)^-1.  Returns the failed
+    conditions (none: certified) and the diagnostics of the last three.
     """
-    g2 = plant.gamma ** 2
     # X and Y need no PSD test: each is congruent to a PD block (positivity
     # passed) padded with zeros
     why = [] if rho_ok else [f"rho(XY) = {rho_xy:.12g} >= 1 - pd_tol"]
@@ -199,29 +234,28 @@ def certify(plant: HinfPlant, split: SchurSplit, lam_min: tuple,
         hurwitz = diagnostics[f"loop_{name.lower()}_hurwitz"] = linalg.is_hurwitz(loop)
         if not hurwitz:
             why.append(f"{name} is not stabilizing")
-
-    # singular-value diagnostics: positivity passed, so sigma_max of each
-    # inverse is 1 / lambda_min; vacuous factors are 1 for empty blocks
-    f_x, f_y = (1.0 / lam if size else 1.0
-                for lam, size in zip(lam_min, (split.n_anti, split.n_stable)))
-    sigma_condition = bool(f_x * f_y < g2) if (split.n_anti and split.n_stable) else True
-    diagnostics["sigma_product"] = float(f_x * f_y)
-
-    regime = "symmetric-iff" if _is_symmetric_regime(plant.Ax, Z, plant.opts) else "general"
-    diagnostics["failure_reasons"] = why
-    return not why, sigma_condition, regime, diagnostics
+    return why, diagnostics
 
 
-def build_controller(plant, X: np.ndarray, Y: np.ndarray) -> Controller:
-    """Assemble the output-feedback controller from the Riccati solutions,
-    in the plant's representation and with the plant's adjoint."""
-    g2 = plant.gamma ** 2
-    adj = plant.adjoint
-    IYX = np.eye(plant.A.shape[0]) - Y @ X
-    # singular in numpy's rank convention, sigma_min <= sigma_max n eps:
-    # whether the solve is defined is a question of double precision
+def _nonsingular_iyx(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """I - YX, which the controller solves with; raises SynthesisError when
+    it is singular in numpy's rank convention, sigma_min <= sigma_max n eps:
+    whether the solve is defined is a question of double precision."""
+    IYX = np.eye(X.shape[0]) - Y @ X
     if np.linalg.matrix_rank(IYX) < IYX.shape[0]:
         raise SynthesisError("I - YX is singular (rho(XY) >= 1)")
+    return IYX
+
+
+def build_controller(plant, X: np.ndarray, Y: np.ndarray,
+                     IYX: np.ndarray | None = None) -> Controller:
+    """Assemble the output-feedback controller from the Riccati solutions,
+    in the plant's representation and with the plant's adjoint.  IYX is
+    I - YX when the caller has already found it nonsingular (verdict has)."""
+    g2 = plant.gamma ** 2
+    adj = plant.adjoint
+    if IYX is None:
+        IYX = _nonsingular_iyx(X, Y)
     CK = -(plant.B2.conj().T @ X + plant.D12.conj().T @ plant.C1)
     BK = np.linalg.solve(IYX, g2 * Y @ plant.C2.conj().T
                          + plant.B1 @ plant.D21.conj().T)
@@ -236,45 +270,115 @@ def build_controller(plant, X: np.ndarray, Y: np.ndarray) -> Controller:
                       needs_augmentation=bool(pr > plant.opts.pr_tol))
 
 
+@dataclass
+class Verdict:
+    """The per-gamma decision of a synthesis from a Prepared.
+
+    why lists the failed conditions; the target certifies when it is empty.
+    X is None when positivity refused (why is then its one refusal); IYX is
+    None when rho(XY) missed its margin, which withholds the controller.
+    """
+    plant: Plant                   # the prepared plant at this gamma
+    quad: LyapunovQuad
+    lam_min: tuple                 # positivity's, inf for an empty block
+    why: list[str]
+    X: np.ndarray | None = None
+    Y: np.ndarray | None = None
+    rho_xy: float | None = None
+    weights: tuple | None = None
+    gates: dict = field(default_factory=dict)   # certify's diagnostics
+    IYX: np.ndarray | None = None
+
+    @property
+    def certified(self) -> bool:
+        return not self.why
+
+
+def verdict(prep: Prepared, gamma: float) -> Verdict:
+    """Decide the target gamma on a prepared plant: positivity of
+    S - T/g^2 and U - V/g^2, X and Y with rho(XY), certify's conditions and,
+    when rho(XY) passes, the I - YX rank test (a SynthesisError, as from
+    the controller it guards).  synthesize_at reports this verdict and
+    min_certified_gamma bisects on it."""
+    plant, quad = prep.at(gamma)
+    _, failure, lam_min = positivity(quad.SmTg, quad.UmVg, plant.opts)
+    v = Verdict(plant, quad, lam_min, [failure] if failure else [])
+    if failure:
+        return v
+    v.weights = riccati_weights(plant)
+    v.X, v.Y, v.rho_xy, UmVg_inv = assemble_xy(plant, prep.split, quad)
+    # the one rho(XY) margin: it gates the certificate and the controller
+    rho_ok = v.rho_xy < 1.0 - plant.opts.pd_tol
+    v.why, v.gates = certify(plant, prep.split, v.X, v.Y, v.rho_xy, rho_ok,
+                             v.weights, UmVg_inv)
+    if rho_ok:
+        v.IYX = _nonsingular_iyx(v.X, v.Y)
+    return v
+
+
+def synthesize_at(prep: Prepared, gamma: float) -> SynthesisResult:
+    """Synthesis at gamma on a prepared plant: the verdict, plus what only
+    a synthesis reports, the Riccati residuals, Z and the regime, the
+    singular-value diagnostics and the controller.
+
+    The short-cut sigma_max((S-T/g^2)^{-1}) sigma_max((U-V/g^2)^{-1}) < g^2
+    is recorded as sigma_condition; when Ax is symmetric and Z is (up to
+    sign) the identity it is an exact characterization and the result is
+    labeled "symmetric-iff", otherwise it is only sufficient and rho(XY)
+    rules.
+    """
+    v = verdict(prep, gamma)
+    plant, split = v.plant, prep.split
+    if v.X is None:
+        return SynthesisResult(plant.gamma, split, v.quad, None, None, None,
+                               None, None, None, certified=False,
+                               failure=v.why[0])
+    # Z = JJ W JJ^T W^T, written with the (sharp) adjoint
+    Z = plant.adjoint(split.W.T) @ split.W.T
+    regime = "symmetric-iff" if _is_symmetric_regime(plant.Ax, Z, plant.opts) else "general"
+    # positivity passed, so sigma_max of each inverse is 1 / lambda_min;
+    # vacuous factors are 1 for empty blocks
+    f_x, f_y = (1.0 / lam if size else 1.0
+                for lam, size in zip(v.lam_min, (split.n_anti, split.n_stable)))
+    sigma_condition = (bool(f_x * f_y < plant.gamma ** 2)
+                       if (split.n_anti and split.n_stable) else True)
+    controller = (build_controller(plant, v.X, v.Y, v.IYX)
+                  if v.IYX is not None else None)
+    diagnostics = {**riccati_residuals(plant, v.X, v.Y, v.weights), **v.gates,
+                   "sigma_product": float(f_x * f_y), "failure_reasons": v.why}
+    return SynthesisResult(plant.gamma, split, v.quad, v.X, v.Y, Z, v.rho_xy,
+                           sigma_condition, controller, v.certified,
+                           regime=regime, failure="; ".join(v.why),
+                           diagnostics=diagnostics)
+
+
 def synthesize(plant: HinfPlant) -> SynthesisResult:
     """Full pipeline: split -> Lyapunov -> X/Y -> certificate -> controller.
     Structural violations raise (the split raises an AssumptionError when
     the spectral assumption fails); a solvability failure at the stated
     gamma comes back as an uncertified result naming the condition."""
-    split = plant.split()
-    quad = solve_quad(plant, split)
-    _, failure, lam_min = positivity(quad.SmTg, quad.UmVg, plant.opts)
-    if failure:
-        return SynthesisResult(plant.gamma, split, quad, None, None, None,
-                               None, None, None, certified=False,
-                               failure=failure)
-    weights = riccati_weights(plant)
-    X, Y, rho_xy, residuals, UmVg_inv = assemble_xy(plant, split, quad,
-                                                    weights)
-    # Z = JJ W JJ^T W^T, written with the (sharp) adjoint
-    Z = plant.adjoint(split.W.T) @ split.W.T
-    # the one rho(XY) margin: it gates the certificate and the controller
-    rho_ok = rho_xy < 1.0 - plant.opts.pd_tol
-    certified, sigma_condition, regime, diagnostics = certify(
-        plant, split, lam_min, X, Y, Z, rho_xy, rho_ok, weights, UmVg_inv)
-    controller = build_controller(plant, X, Y) if rho_ok else None
-    return SynthesisResult(plant.gamma, split, quad, X, Y, Z, rho_xy,
-                           sigma_condition, controller, certified,
-                           regime=regime,
-                           failure="; ".join(diagnostics["failure_reasons"]),
-                           diagnostics={**residuals, **diagnostics})
+    return synthesize_at(prepare(plant), plant.gamma)
 
 
 def min_certified_gamma(plant: HinfPlant, lo: float, hi: float,
                         tol: float = 1e-6) -> float:
     """Bisect for the smallest gamma in [lo, hi] whose synthesis certifies.
 
-    The plant's own gamma is ignored; lo must fail and hi must pass.
+    The plant's own gamma is ignored; lo must fail and hi must pass.  The
+    split and the four Lyapunov solves do not depend on gamma, so they run
+    once (prepare); each step runs only verdict, the decision synthesize
+    reports, without the controller and the diagnostics.  A plant that
+    prepare refuses certifies at no gamma.
     """
+    try:
+        prep = prepare(plant)
+    except AssumptionError:
+        prep = None
+
     def ok(g: float) -> bool:
         try:
-            return synthesize(plant.with_gamma(g)).certified
-        except (AssumptionError, SynthesisError):
+            return prep is not None and verdict(prep, g).certified
+        except SynthesisError:
             return False
 
     if not ok(hi):

@@ -7,10 +7,12 @@ import pytest
 from conftest import (on_axis_plants, random_passive_plant, random_slh_model,
                       random_sym_plant)
 from qhinf import devices, qls
-from qhinf.cli import PROFILES, main
+from qhinf.cli import PROFILES, main, make_parser
 from qhinf.docio import (DocumentError, SystemDocument, atomic_write_text,
-                         complex_to_pairs, document_for, instantiate,
-                         load_document, pairs_to_complex, save_document)
+                         complex_to_pairs, csv_text, document_for,
+                         instantiate, load_document, pairs_to_complex,
+                         save_document)
+from qhinf.errors import AssumptionError
 from qhinf.passive import PassivePlant, synthesize_passive
 from qhinf.plant import HinfPlant
 from qhinf.synth import build_controller, synthesize
@@ -176,6 +178,37 @@ class TestCli:
         assert len(lines) == 7
         # no numpy repr leakage in the table
         assert "np.float64" not in "".join(lines)
+
+    def test_sweep_rows_match_syntheses(self, rng, tmp_path, capsys):
+        # one preparation serves every target: each row equals a synthesis
+        # from scratch at that target, and a plant whose split refuses gives
+        # a refused row at every target and exit 2
+        plants = [(random_sym_plant(rng, 2), False),
+                  (random_passive_plant(rng, 3), False),
+                  *((p, True) for p in on_axis_plants())]
+        for plant, refused in plants:
+            path = str(tmp_path / "plant.json")
+            save_document(document_for(plant), path)
+            code = main(["sweep-gamma", path, "--min", "0.4", "--max", "4.0",
+                         "--steps", "7"])
+            rows = []
+            for g in map(float, np.linspace(0.4, 4.0, 7)):
+                at = plant.with_gamma(g)
+                try:
+                    res = (synthesize_passive(at) if isinstance(at, PassivePlant)
+                           else synthesize(at))
+                except AssumptionError:
+                    rows.append([g, 0, float("nan")])
+                    continue
+                rows.append([g, int(res.certified), close_loop(
+                    at, res.controller).hinf if res.certified else float("nan")])
+            assert capsys.readouterr().out == csv_text(
+                ["gamma", "certified", "hinf"], rows)
+            assert code == (0 if any(r[1] for r in rows) else 2)
+            assert refused == (code == 2)
+
+    def test_parser_built_once(self):
+        assert make_parser() is make_parser()
 
     def test_freqresp_csv(self, rng, tmp_path):
         path = self.write_plant(rng, tmp_path)

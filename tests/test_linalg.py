@@ -6,14 +6,16 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_sym_plant
+from conftest import (random_general_plant, random_mixed_plant,
+                      random_passive_plant, random_sym_plant)
 from qhinf import linalg
 from qhinf.errors import ImaginaryAxisError
 from qhinf.linalg import (hinf_bracket, hinf_norm,
                           is_hurwitz, is_positive_semidefinite,
                           max_singular_value,
                           min_singular_value, ordered_schur_split,
-                          solve_lyapunov, spectral_radius)
+                          solve_lyapunov, solve_lyapunov_schur,
+                          spectral_radius)
 from qhinf.options import DEFAULT
 from qhinf.synth import synthesize
 from qhinf.verify import close_loop
@@ -142,9 +144,40 @@ class TestLyapunov:
         assert peak < 5 * 2**20
 
     def test_singular_operator_raises(self):
-        # mirrored eigenvalue pair makes the Lyapunov operator singular
-        with pytest.raises(ImaginaryAxisError):
-            solve_lyapunov(np.diag([1.0, -1.0]), np.eye(2))
+        # mirrored eigenvalue pair makes the Lyapunov operator singular; the
+        # triangular half refuses it as the whole solver does, for real and
+        # complex Schur forms
+        for T in (np.diag([1.0, -1.0]), np.array([[1j, 1.0], [0.0, -1j]])):
+            for solve in (solve_lyapunov, solve_lyapunov_schur):
+                with pytest.raises(ImaginaryAxisError):
+                    solve(T, np.eye(2))
+
+    def test_schur_half_on_split_blocks(self):
+        # the splits' blocks are already in LAPACK's Schur form: the full
+        # solver's Schur step returns them unchanged, so skipping it gives
+        # the same S, T, U, V bit for bit, real (quadrature) and complex
+        # (passive)
+        rng = np.random.default_rng(8)
+        plants = [random_sym_plant(rng, 3), random_general_plant(rng, 3, 1),
+                  random_general_plant(rng, 3, -1), random_mixed_plant(rng, 3),
+                  random_passive_plant(rng, 4)]
+        for plant in plants:
+            split = plant.split()
+            sd = split.n_stable
+            B1x, B2x = split.W @ plant.B1, split.W @ plant.B2
+            for A, B in ((-split.A22, B2x[sd:]), (-split.A22, B1x[sd:]),
+                         (split.A11, B1x[:sd]), (split.A11, B2x[:sd])):
+                Q = B @ B.conj().T
+                P = solve_lyapunov_schur(A, Q)
+                assert np.array_equal(P, solve_lyapunov(A, Q))
+                assert P.dtype == np.result_type(A, Q)
+
+    def test_schur_half_refuses_a_full_matrix(self):
+        # trsyl reads only the upper (quasi-)triangle; the residual, taken
+        # with the matrix given, refuses one that is not in Schur form
+        A = stable_matrix(np.random.default_rng(2), 4)
+        with pytest.raises(ImaginaryAxisError, match="residual"):
+            solve_lyapunov_schur(A, np.eye(4))
 
 
 class TestSchurSplit:

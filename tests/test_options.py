@@ -60,11 +60,13 @@ def test_no_bare_tolerances():
 # second owner of the plant's tolerances, free to disagree with the first
 PLANT_STAGES = [
     plant.HinfPlant.split, passive.PassivePlant.split,
-    synth.solve_quad, synth.assemble_xy, synth.certify,
+    synth.prepare, synth.solve_quad, synth.verdict, synth.synthesize_at,
+    synth.assemble_xy, synth.riccati_residuals, synth.certify,
     synth.build_controller, synth.synthesize, synth.min_certified_gamma,
-    passive.synthesize_passive, passive.passive_gamma_threshold,
+    passive.synthesize_passive_at, passive.synthesize_passive,
+    passive.passive_gamma_threshold,
     verify.are_oracle, verify.close_loop, verify.attenuation_certificate,
-    report.synthesis_report, cli._synthesize_any,
+    report.synthesis_report, cli._synthesize_at,
 ]
 
 

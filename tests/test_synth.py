@@ -5,15 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (random_general_plant, random_mixed_plant,
+from conftest import (on_axis_plants, random_general_plant,
+                      random_mixed_plant, random_passive_plant,
                       random_sym_plant)
-from qhinf.devices import DpaSpec, build_dpa
-from qhinf.errors import OracleError
+from qhinf.devices import CavitySpec, DpaSpec, build_cavity, build_dpa
+from qhinf.errors import AssumptionError, OracleError, SynthesisError
 from qhinf.linalg import is_hurwitz
+from qhinf.passive import (PassivePlant, passive_gamma_threshold,
+                           synthesize_passive, synthesize_passive_at)
 from qhinf.plant import build_plant
 from qhinf.qls import j_symplectic, sharp_adjoint
-from qhinf.synth import (min_certified_gamma, positivity, solve_quad,
-                         synthesize)
+from qhinf.synth import (min_certified_gamma, positivity, prepare,
+                         solve_quad, synthesize, synthesize_at)
 from qhinf.verify import are_oracle, attenuation_certificate, close_loop
 
 
@@ -34,6 +37,98 @@ class TestLyapunovQuadruple:
                            + B1x[:sd] @ B1x[:sd].T, 0, atol=1e-10)
         assert np.allclose(A1 @ quad.V + quad.V @ A1.T
                            + B2x[:sd] @ B2x[:sd].T, 0, atol=1e-10)
+
+
+def _prepared_plants():
+    """One plant of each kind, with targets on both sides of its gamma*
+    (mixed plants, which min_certified_gamma refuses, at fixed targets)."""
+    rng = np.random.default_rng(31)
+    for plant in (random_sym_plant(rng, 2), random_sym_plant(rng, 3),
+                  random_general_plant(rng, 2, 1),
+                  random_general_plant(rng, 3, -1),
+                  build_dpa(DpaSpec(1.0, 4.0, 1.0)),
+                  build_dpa(DpaSpec(2.0, 2.5, 1.0))):
+        g = min_certified_gamma(plant, 0.05, 50.0, tol=1e-10)
+        yield plant, [0.5 * g, g * (1 - 1e-6), g * (1 + 1e-6), 1.5 * g]
+    for plant in (random_mixed_plant(rng, 2), random_mixed_plant(rng, 3)):
+        yield plant, [0.5, 1.5, 5.0]
+    for plant in (random_passive_plant(rng, 2), random_passive_plant(rng, 4),
+                  build_cavity(CavitySpec(1.0, 4.0))):
+        g = passive_gamma_threshold(plant).gamma_star
+        yield plant, [0.5 * g, g * (1 - 1e-6), g * (1 + 1e-6), 1.5 * g]
+
+
+def _same_result(got, want):
+    assert (got.gamma, got.certified, got.regime, got.failure) == (
+        want.gamma, want.certified, want.regime, want.failure)
+    assert got.rho_xy == want.rho_xy
+    assert got.sigma_condition == want.sigma_condition
+    for name in ("X", "Y", "Z"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None and b is None) or np.array_equal(a, b)
+    for name in ("S", "T", "U", "V", "SmTg", "UmVg"):
+        assert np.array_equal(getattr(got.quad, name), getattr(want.quad, name))
+    assert (got.controller is None) == (want.controller is None)
+    if got.controller is not None:
+        for name in ("AK", "BK", "CK", "BKtilde", "CKtilde", "pr_residual",
+                     "needs_augmentation"):
+            assert np.array_equal(getattr(got.controller, name),
+                                  getattr(want.controller, name))
+    assert list(got.diagnostics) == list(want.diagnostics)
+    assert got.diagnostics == want.diagnostics
+
+
+class TestPrepared:
+    def test_one_preparation_serves_every_gamma(self):
+        # the split and the four solves are made once and reused at every
+        # target; each result equals a synthesis from scratch, bit for bit,
+        # on both sides of gamma*
+        checked = set()
+        for plant, gammas in _prepared_plants():
+            prep = prepare(plant)
+            for g in gammas:
+                _same_result(synthesize_at(prep, g),
+                             synthesize(plant.with_gamma(g)))
+                if isinstance(plant, PassivePlant):
+                    _same_result(synthesize_passive_at(prep, g),
+                                 synthesize_passive(plant.with_gamma(g)))
+                checked.add(synthesize_at(prep, g).certified)
+        assert checked == {True, False}
+
+    def test_bisection_matches_reference(self):
+        # min_certified_gamma decides each step on its one preparation; a
+        # bisection over full syntheses must land on the same double
+        def reference(plant, lo, hi, tol):
+            def ok(g):
+                try:
+                    return synthesize(plant.with_gamma(g)).certified
+                except (AssumptionError, SynthesisError):
+                    return False
+
+            if not ok(hi):
+                return "upper bracket"
+            if ok(lo):
+                return lo
+            for _ in range(60):
+                if hi - lo <= tol * max(1.0, hi):
+                    break
+                mid = 0.5 * (lo + hi)
+                lo, hi = (lo, mid) if ok(mid) else (mid, hi)
+            return hi
+
+        plants = [p for p, _ in _prepared_plants()] + list(on_axis_plants())
+        refused = 0
+        for plant in plants:
+            for lo, hi, tol in ((0.05, 50.0, 1e-6), (0.05, 50.0, 1e-13),
+                                (0.3, 0.31, 1e-10)):
+                want = reference(plant, lo, hi, tol)
+                if want == "upper bracket":
+                    refused += 1
+                    with pytest.raises(SynthesisError, match="upper bracket"):
+                        min_certified_gamma(plant, lo, hi, tol)
+                else:
+                    assert min_certified_gamma(plant, lo, hi, tol) == want
+        assert refused
 
 
 class TestAssembly:
