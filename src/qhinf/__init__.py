@@ -9,8 +9,8 @@ from .qls import (SlhModel, StateSpace, build_complex_system,
                   to_quadrature, transfer_matrix)
 from .plant import HinfPlant, build_plant
 from .synth import (Controller, LyapunovQuad, Prepared, SynthesisResult,
-                    build_controller, min_certified_gamma, prepare,
-                    synthesize, synthesize_at)
+                    build_controller, gamma_threshold, min_certified_gamma,
+                    prepare, synthesize, synthesize_at)
 from .passive import (PassivePlant, PassiveThreshold, build_passive_plant,
                       passive_gamma_threshold, synthesize_passive,
                       synthesize_passive_at)
