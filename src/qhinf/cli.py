@@ -15,12 +15,10 @@ import numpy as np
 from . import devices, docio, linalg, qls, report
 from .errors import AssumptionError, ParameterError, QhinfError, positive_gamma
 from .options import DEFAULT, NumericOptions
-from .passive import (PassivePlant, passive_gamma_threshold,
-                      synthesize_passive, synthesize_passive_at)
+from .passive import PassivePlant, passive_gamma_threshold, synthesize_passive
 from .plant import HinfPlant, Plant
 from .qls import SlhModel
-from .synth import (Controller, Prepared, build_controller, prepare,
-                    synthesize, synthesize_at)
+from .synth import Controller, build_controller, synthesize
 from .verify import are_oracle, attenuation_certificate, close_loop
 
 PROFILES = {
@@ -59,10 +57,10 @@ def _load_plant(path: str, gamma: float | None) -> Plant:
     return plant
 
 
-def _synthesize_at(prep: Prepared, gamma: float):
-    if isinstance(prep.plant, PassivePlant):
-        return synthesize_passive_at(prep, gamma)
-    return synthesize_at(prep, gamma)
+def _synthesize(plant: Plant):
+    if isinstance(plant, PassivePlant):
+        return synthesize_passive(plant)
+    return synthesize(plant)
 
 
 def cmd_check(args) -> int:
@@ -122,7 +120,7 @@ def cmd_synthesize(args) -> int:
             f"closed-loop Hinf     : {cert.hinf:.10g}\n")
         _emit(text, args.out)
         return 0 if oracle.certified else 2
-    result = _synthesize_at(prepare(obj), obj.gamma)
+    result = _synthesize(obj)
     rep = report.synthesis_report(obj, result)
     _emit(report.render_json(rep) if args.json else report.render_text(rep), args.out)
     return 0 if result.certified else 2
@@ -153,24 +151,20 @@ def cmd_sweep(args) -> int:
     positive_gamma(min(args.min, args.max))
     positive_gamma(max(args.min, args.max))
     gammas = np.linspace(args.min, args.max, _count(args.steps, "--steps"))
-    # built, split and solved once, at the first target; every target
-    # reuses the split and the four Lyapunov solutions
+    # built once; the first target's prepare splits and solves, and every
+    # later target's reuses that split and the four Lyapunov solutions
     plant = _load_plant(args.path, args.min)
-    try:
-        prep = prepare(plant)
-    except QhinfError:   # the split or a solve refuses every target
-        prep = None
     rows = []
     for g in map(float, gammas):
         certified, hinf = 0, float("nan")
-        if prep is not None:
-            try:
-                res = _synthesize_at(prep, g)
-                if res.certified:   # one rho(XY) margin gates it and the controller
-                    hinf = close_loop(plant.with_gamma(g), res.controller).hinf
-                    certified = 1
-            except QhinfError:
-                pass   # the target is refused
+        try:
+            at = plant.with_gamma(g)
+            res = _synthesize(at)
+            if res.certified:   # one rho(XY) margin gates it and the controller
+                hinf = close_loop(at, res.controller).hinf
+                certified = 1
+        except QhinfError:
+            pass   # the plant or the target is refused
         rows.append([g, certified, hinf])
     _emit(docio.csv_text(["gamma", "certified", "hinf"], rows), args.out)
     return 0 if any(r[1] for r in rows) else 2

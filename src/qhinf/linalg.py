@@ -131,7 +131,7 @@ def solve_lyapunov_schur(T: np.ndarray, Q: np.ndarray,
     return P
 
 
-@dataclass
+@dataclass(frozen=True)
 class SchurSplit:
     """A shifted generator split into stable / anti-stable parts.
 
@@ -142,7 +142,8 @@ class SchurSplit:
     eigendecomposition of a Hermitian generator (A11 and A22 diagonal, A12
     zero).  n_stable + n_anti = n; either block may be empty.  min_abs_real
     is the smallest |Re lambda| over the spectrum, the distance to the
-    imaginary axis that the split tested (inf for an empty matrix).
+    imaginary axis that the split tested (inf for an empty matrix).  Frozen:
+    synth.prepare shares one split between results.
     """
     W: np.ndarray
     A11: np.ndarray

@@ -14,8 +14,17 @@ synthesis has two stages.  prepare does the gamma-independent work once per
 plant: the split and the four Lyapunov solutions S, T, U, V.  At each gamma,
 verdict forms the two differences, tests their positivity, assembles X and Y
 and decides, and synthesize_at adds the controller and the diagnostics.
-synthesize is prepare then synthesize_at; min_certified_gamma and
-`qhinf sweep-gamma` prepare once and reuse it at every gamma.
+synthesize is prepare then synthesize_at; min_certified_gamma prepares once
+and reuses it at every gamma.
+
+prepare also keeps one entry: the last plant's physics key and its Prepared.
+A plant with the same class, opts and bit-identical Ax, Ay, B1, B2 (the
+inputs of the split, the solves and the one-sided loop gates) gets that
+split and S, T, U, V rebound to itself, so a loop over plant.with_gamma(g),
+or over plants built separately at each gamma, splits and solves once.  The
+shared arrays are read-only; a refused plant is not kept.  What only the
+physics decides beyond that (Z, the regime label, the loop gate of an empty
+side) is computed on first use and shared the same way.
 
 Positivity of both differences and rho(XY) < 1 hold together exactly while
 one Hermitian matrix, quadratic in nu = 1/gamma, stays positive definite, so
@@ -27,7 +36,7 @@ The four solves, the X/Y assembly and the controller serve both plant kinds;
 a plant supplies its shifted generators Ax, Ay and its adjoint.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -105,6 +114,9 @@ class Prepared:
     T: np.ndarray
     U: np.ndarray
     V: np.ndarray
+    # values that depend on the physics alone, by name (see _once); prepare
+    # shares the dict between every Prepared of the same physics
+    _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def at(self, gamma: float) -> tuple[Plant, LyapunovQuad]:
         """The plant at gamma and the Lyapunov data with their differences
@@ -113,6 +125,13 @@ class Prepared:
         g2 = plant.gamma ** 2
         return plant, LyapunovQuad(self.S, self.T, self.U, self.V,
                                    self.S - self.T / g2, self.U - self.V / g2)
+
+
+def _once(prep: Prepared, name: str, compute):
+    """prep's value of name, computed by compute() on first use."""
+    if name not in prep._memo:
+        prep._memo[name] = compute()
+    return prep._memo[name]
 
 
 def solve_quad(plant, split: SchurSplit) -> Prepared:
@@ -142,10 +161,38 @@ def solve_quad(plant, split: SchurSplit) -> Prepared:
                     lyap(split.A11, B1x[:sd]), lyap(split.A11, B2x[:sd]))
 
 
+# prepare's one entry: the physics key of the last plant it prepared and
+# that plant's Prepared
+_last: tuple = (None, None)
+
+
+def _physics_key(plant: Plant) -> tuple:
+    """What the split, the four solves and the one-sided loop gates read:
+    the class (its split and adjoint), opts, and Ax, Ay, B1, B2 bit for bit."""
+    return (type(plant), plant.opts,
+            *((M.dtype.str, M.shape, M.tobytes())
+              for M in (plant.Ax, plant.Ay, plant.B1, plant.B2)))
+
+
 def prepare(plant: Plant) -> Prepared:
     """Split Ax and solve the four Lyapunov equations, once per plant.  The
-    split raises an AssumptionError when the spectral assumption fails."""
-    return solve_quad(plant, plant.split())
+    split raises an AssumptionError when the spectral assumption fails.
+
+    A plant whose physics key (_physics_key) matches the last prepared one
+    bit for bit gets that split and S, T, U, V, rebound to itself; no other
+    plant is kept, and a plant whose split or solves raise is not kept at
+    all.  The split's arrays and S, T, U, V are read-only, since later
+    results share them.
+    """
+    global _last
+    key = _physics_key(plant)
+    if _last[0] != key:
+        prep = solve_quad(plant, plant.split())
+        sp = prep.split
+        for M in (sp.W, sp.A11, sp.A12, sp.A22, prep.S, prep.T, prep.U, prep.V):
+            M.flags.writeable = False
+        _last = (key, prep)
+    return replace(_last[1], plant=plant)
 
 
 def positivity(SmTg: np.ndarray, UmVg: np.ndarray,
@@ -189,7 +236,9 @@ def assemble_xy(plant, split: SchurSplit, quad: LyapunovQuad):
     X = W.conj().T @ Xt @ W
     Y = plant.adjoint(W.conj().T @ Yt @ W) / plant.gamma ** 2
     X, Y = 0.5 * (X + X.conj().T), 0.5 * (Y + Y.conj().T)
-    return X, Y, linalg.spectral_radius(X @ Y), UmVg_inv
+    # an empty block leaves X = 0 or Y = 0 exactly, and XY = 0
+    rho = linalg.spectral_radius(X @ Y) if split.n_stable and split.n_anti else 0.0
+    return X, Y, rho, UmVg_inv
 
 
 def riccati_residuals(plant, X: np.ndarray, Y: np.ndarray, weights) -> dict:
@@ -211,7 +260,7 @@ def _is_symmetric_regime(Ax: np.ndarray, Z: np.ndarray, opts: NumericOptions) ->
     return bool(sym and z_id <= opts.struct_tol * n2)
 
 
-def certify(plant: HinfPlant, split: SchurSplit, X: np.ndarray,
+def certify(plant: HinfPlant, prep: Prepared, X: np.ndarray,
             Y: np.ndarray, rho_xy: float, rho_ok: bool, weights,
             UmVg_inv) -> tuple[list[str], dict]:
     """The conditions the assembled (X, Y) must meet to certify the target.
@@ -221,7 +270,10 @@ def certify(plant: HinfPlant, split: SchurSplit, X: np.ndarray,
     and Hurwitz stability of the two loop matrices Ax + M X and Ay + Y N.
     UmVg_inv is assemble_xy's (U - V/g^2)^-1.  Returns the failed
     conditions (none: certified) and the diagnostics of the last three.
+    An empty anti-stable (stable) block makes X (Y) exactly 0, so that
+    loop matrix is Ax (Ay) at every gamma, and prep decides it once.
     """
+    split = prep.split
     # X and Y need no PSD test: each is congruent to a PD block (positivity
     # passed) padded with zeros
     why = [] if rho_ok else [f"rho(XY) = {rho_xy:.12g} >= 1 - pd_tol"]
@@ -238,8 +290,13 @@ def certify(plant: HinfPlant, split: SchurSplit, X: np.ndarray,
         why.append("cross-block compatibility equation fails")
 
     M, N = weights
-    for name, loop in (("X", plant.Ax + M @ X), ("Y", plant.Ay + Y @ N)):
-        hurwitz = diagnostics[f"loop_{name.lower()}_hurwitz"] = linalg.is_hurwitz(loop)
+    for name, size, shifted, loop in (
+            ("X", split.n_anti, plant.Ax, lambda: plant.Ax + M @ X),
+            ("Y", split.n_stable, plant.Ay, lambda: plant.Ay + Y @ N)):
+        gate = f"loop_{name.lower()}_hurwitz"
+        hurwitz = diagnostics[gate] = (
+            linalg.is_hurwitz(loop()) if size
+            else _once(prep, gate, lambda: linalg.is_hurwitz(shifted)))
         if not hurwitz:
             why.append(f"{name} is not stabilizing")
     return why, diagnostics
@@ -317,11 +374,24 @@ def verdict(prep: Prepared, gamma: float) -> Verdict:
     v.X, v.Y, v.rho_xy, UmVg_inv = assemble_xy(plant, prep.split, quad)
     # the one rho(XY) margin: it gates the certificate and the controller
     rho_ok = v.rho_xy < 1.0 - plant.opts.pd_tol
-    v.why, v.gates = certify(plant, prep.split, v.X, v.Y, v.rho_xy, rho_ok,
+    v.why, v.gates = certify(plant, prep, v.X, v.Y, v.rho_xy, rho_ok,
                              v.weights, UmVg_inv)
     if rho_ok:
-        v.IYX = _nonsingular_iyx(v.X, v.Y)
+        # an empty block leaves YX = 0 exactly, so I - YX = I
+        split = prep.split
+        v.IYX = (_nonsingular_iyx(v.X, v.Y) if split.n_stable and split.n_anti
+                 else np.eye(len(v.X)))
     return v
+
+
+def _z_and_regime(prep: Prepared) -> tuple[np.ndarray, str]:
+    """Z = JJ W JJ^T W^T, written with the (sharp) adjoint, read-only, and
+    the regime label it and Ax decide."""
+    plant, W = prep.plant, prep.split.W
+    Z = plant.adjoint(W.T) @ W.T
+    Z.flags.writeable = False
+    return Z, ("symmetric-iff" if _is_symmetric_regime(plant.Ax, Z, plant.opts)
+               else "general")
 
 
 def synthesize_at(prep: Prepared, gamma: float) -> SynthesisResult:
@@ -341,9 +411,7 @@ def synthesize_at(prep: Prepared, gamma: float) -> SynthesisResult:
         return SynthesisResult(plant.gamma, split, v.quad, None, None, None,
                                None, None, None, certified=False,
                                failure=v.why[0])
-    # Z = JJ W JJ^T W^T, written with the (sharp) adjoint
-    Z = plant.adjoint(split.W.T) @ split.W.T
-    regime = "symmetric-iff" if _is_symmetric_regime(plant.Ax, Z, plant.opts) else "general"
+    Z, regime = _once(prep, "z_regime", lambda: _z_and_regime(prep))
     # positivity passed, so sigma_max of each inverse is 1 / lambda_min;
     # vacuous factors are 1 for empty blocks
     f_x, f_y = (1.0 / lam if size else 1.0

@@ -1,9 +1,31 @@
 import numpy as np
 import pytest
 
+from qhinf import synth
 from qhinf.plant import HinfPlant, build_plant
 from qhinf.passive import PassivePlant
 from qhinf.qls import SlhModel, j_symplectic
+
+
+@pytest.fixture(autouse=True)
+def fresh_prepare(monkeypatch):
+    """Each test starts with prepare's one entry empty, so a test that
+    patches or counts the split, a solve or verdict sees its own calls
+    whichever test ran before it."""
+    monkeypatch.setattr(synth, "_last", (None, None))
+
+
+def count_calls(monkeypatch, name, *owners) -> list:
+    """Replace name on each owner by a wrapper that records the arguments
+    of its calls in one list."""
+    calls = []
+    for owner in owners:
+        def counted(*args, inner=getattr(owner, name)):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 @pytest.fixture

@@ -4,8 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from conftest import (on_axis_plants, random_passive_plant, random_slh_model,
-                      random_sym_plant)
+from conftest import (count_calls, on_axis_plants, random_passive_plant,
+                      random_slh_model, random_sym_plant)
 from qhinf import devices, qls
 from qhinf.cli import PROFILES, main, make_parser
 from qhinf.docio import (DocumentError, SystemDocument, atomic_write_text,
@@ -179,18 +179,22 @@ class TestCli:
         # no numpy repr leakage in the table
         assert "np.float64" not in "".join(lines)
 
-    def test_sweep_rows_match_syntheses(self, rng, tmp_path, capsys):
-        # one preparation serves every target: each row equals a synthesis
-        # from scratch at that target, and a plant whose split refuses gives
-        # a refused row at every target and exit 2
+    def test_sweep_rows_match_syntheses(self, rng, tmp_path, capsys,
+                                        monkeypatch):
+        # one split serves every target: each row equals a synthesis from
+        # scratch at that target, and a plant whose split refuses is split
+        # again at every target and gives a refused row and exit 2
+        splits = count_calls(monkeypatch, "split", HinfPlant, PassivePlant)
         plants = [(random_sym_plant(rng, 2), False),
                   (random_passive_plant(rng, 3), False),
                   *((p, True) for p in on_axis_plants())]
         for plant, refused in plants:
             path = str(tmp_path / "plant.json")
             save_document(document_for(plant), path)
+            splits.clear()
             code = main(["sweep-gamma", path, "--min", "0.4", "--max", "4.0",
                          "--steps", "7"])
+            assert len(splits) == (7 if refused else 1)
             rows = []
             for g in map(float, np.linspace(0.4, 4.0, 7)):
                 at = plant.with_gamma(g)

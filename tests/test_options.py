@@ -73,7 +73,7 @@ PLANT_STAGES = [
     passive.synthesize_passive_at, passive.synthesize_passive,
     passive.passive_gamma_threshold,
     verify.are_oracle, verify.close_loop, verify.attenuation_certificate,
-    report.synthesis_report, cli._synthesize_at,
+    report.synthesis_report, cli._synthesize,
 ]
 
 

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import re
 
@@ -6,16 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (on_axis_plants, random_general_plant,
+from conftest import (count_calls, on_axis_plants, random_general_plant,
                       random_mixed_plant, random_passive_plant,
                       random_sym_plant)
-from qhinf import synth
+from qhinf import linalg, synth
+from qhinf.cli import PROFILES
 from qhinf.devices import CavitySpec, DpaSpec, build_cavity, build_dpa
 from qhinf.errors import AssumptionError, OracleError, SynthesisError
 from qhinf.linalg import is_hurwitz
-from qhinf.passive import (PassivePlant, passive_gamma_threshold,
-                           synthesize_passive, synthesize_passive_at)
-from qhinf.plant import build_plant
+from qhinf.passive import (PassivePlant, build_passive_plant,
+                           passive_gamma_threshold, synthesize_passive,
+                           synthesize_passive_at)
+from qhinf.plant import HinfPlant, build_plant
 from qhinf.qls import j_symplectic, sharp_adjoint
 from qhinf.synth import (PREDICTION_BAND, gamma_threshold, min_certified_gamma,
                          positivity, prepare, solve_quad, synthesize,
@@ -132,6 +135,138 @@ class TestPrepared:
                 else:
                     assert min_certified_gamma(plant, lo, hi, tol) == want
         assert refused
+
+
+def _separate_builds(rng):
+    """One plant of each constructor, and a function that builds the same
+    physics afresh at a given gamma."""
+    sym = random_sym_plant(rng, 3)
+    gen = random_general_plant(rng, 2, -1)
+    pas = random_passive_plant(rng, 3)
+    yield sym, lambda g: build_plant(sym.Hmat, sym.C1, sym.C2, sym.D12,
+                                     sym.D21, g)
+    yield gen, lambda g: build_plant(gen.Hmat, gen.C1, gen.C2, gen.D12,
+                                     gen.D21, g)
+    yield pas, lambda g: build_passive_plant(pas.C1, pas.C2, gamma=g)
+    yield build_cavity(CavitySpec(1.0, 4.0)), \
+        lambda g: build_cavity(CavitySpec(1.0, 4.0, g))
+    yield build_dpa(DpaSpec(2.0, 2.5, 1.0)), \
+        lambda g: build_dpa(DpaSpec(2.0, 2.5, 1.0, g))
+
+
+def _any_synthesis(plant):
+    if isinstance(plant, PassivePlant):
+        return synthesize_passive(plant)
+    return synthesize(plant)
+
+
+class TestPrepareReuse:
+    def test_gamma_grid_splits_once(self, monkeypatch):
+        # a grid of plants built separately at each gamma, or through
+        # with_gamma, is split and solved once, and every result equals a
+        # fresh synthesis field for field
+        gammas = np.linspace(0.3, 3.0, 10)
+        splits = count_calls(monkeypatch, "split", HinfPlant, PassivePlant)
+        for plant, build in _separate_builds(np.random.default_rng(51)):
+            fresh = []
+            for g in gammas:
+                monkeypatch.setattr(synth, "_last", (None, None))
+                fresh.append(_any_synthesis(build(g)))
+            for grid in ([build(g) for g in gammas],
+                         [plant.with_gamma(g) for g in gammas]):
+                monkeypatch.setattr(synth, "_last", (None, None))
+                splits.clear()
+                for at, want in zip(grid, fresh):
+                    _same_result(_any_synthesis(at), want)
+                assert len(splits) == 1
+
+    def test_other_physics_is_prepared_again(self, monkeypatch):
+        C1 = np.kron(np.eye(2), np.diag([1.5, 0.5]))
+        C2 = np.kron(np.eye(2), np.diag([0.5, 1.5]))
+        plant = build_plant(np.zeros((4, 4)), C1, C2, np.eye(4), np.eye(4), 1.0)
+        assert plant.Ax[0, 1] == 0.0
+        strict = build_plant(np.zeros((4, 4)), C1, C2, np.eye(4), np.eye(4),
+                             1.0, opts=PROFILES["strict"])
+        relabeled = copy.copy(plant)
+        relabeled.__class__ = type("Relabeled", (HinfPlant,), {})
+        nudged, signed = copy.copy(plant), copy.copy(plant)
+        nudged.Ax, signed.Ax = plant.Ax.copy(), plant.Ax.copy()
+        nudged.Ax[0, 0] = np.nextafter(nudged.Ax[0, 0], 0.0)
+        signed.Ax[0, 1] = -0.0
+        solves = count_calls(monkeypatch, "solve_quad", synth)
+        for other in (strict, relabeled, nudged, signed):
+            prepare(plant)
+            solves.clear()
+            prepare(other)
+            assert len(solves) == 1
+            prepare(other)
+            assert len(solves) == 1
+
+    def test_refused_plant_raises_every_call(self, monkeypatch):
+        kept = prepare(random_sym_plant(np.random.default_rng(52), 2))
+        splits = count_calls(monkeypatch, "split", HinfPlant, PassivePlant)
+        for plant in on_axis_plants():
+            splits.clear()
+            for _ in range(3):
+                with pytest.raises(AssumptionError):
+                    _any_synthesis(plant)
+            assert len(splits) == 3
+        # the refusals left the last good entry in place
+        assert synth._last[1].split is kept.split
+
+    def test_shared_arrays_are_read_only(self):
+        plant = random_sym_plant(np.random.default_rng(53), 2, gamma=5.0)
+        res = synthesize(plant)
+        assert res.certified
+        for M in (res.quad.S, res.quad.T, res.quad.U, res.quad.V, res.schur.W,
+                  res.schur.A11, res.schur.A12, res.schur.A22, res.Z):
+            with pytest.raises(ValueError, match="read-only"):
+                M[0, 0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            res.schur.W = np.eye(4)
+        again = synthesize(plant.with_gamma(4.0))
+        assert again.schur is res.schur and again.quad.S is res.quad.S
+        passive = synthesize_passive(random_passive_plant(
+            np.random.default_rng(53), 2))
+        with pytest.raises(ValueError, match="read-only"):
+            passive.quad.S[0, 0] = 1.0
+
+
+class TestOneSided:
+    """A one-sided split has X = 0 (no anti-stable block) or Y = 0 (no
+    stable block) exactly: rho(XY) is 0 and that side's loop matrix is Ax
+    or Ay at every gamma."""
+
+    def test_shortcut_matches_direct_computation(self):
+        rng = np.random.default_rng(54)
+        for n_modes, side in ((1, 1), (2, 1), (3, 1), (1, -1), (2, -1), (3, -1)):
+            plant = random_general_plant(rng, n_modes, side)
+            g = min_certified_gamma(plant, 0.1, 10.0, tol=1e-12)
+            prep = prepare(plant)
+            assert (prep.split.n_stable == 0) == (side > 0)
+            for at in [g * (1 + 10.0 ** -k) for k in (10, 11, 12, 13)] + [2 * g]:
+                v = verdict(prep, at)
+                assert v.rho_xy == 0.0
+                M, N = v.weights
+                assert v.gates["loop_x_hurwitz"] == is_hurwitz(plant.Ax + M @ v.X)
+                assert v.gates["loop_y_hurwitz"] == is_hurwitz(plant.Ay + v.Y @ N)
+                if v.IYX is not None:
+                    assert np.array_equal(v.IYX, np.eye(len(v.X)))
+
+    def test_empty_side_gate_decided_once(self, monkeypatch):
+        rng = np.random.default_rng(55)
+        calls = count_calls(monkeypatch, "is_hurwitz", linalg)
+        for side in (1, -1):
+            plant = random_general_plant(rng, 2, side)
+            g = min_certified_gamma(plant, 0.1, 10.0)
+            monkeypatch.setattr(synth, "_last", (None, None))
+            calls.clear()
+            for at in np.linspace(1.1, 3.0, 10) * g:
+                assert synthesize(plant.with_gamma(at)).certified
+            # the other side's loop matrix changes with gamma: ten calls
+            empty = plant.Ay if side > 0 else plant.Ax
+            assert sum(np.array_equal(A, empty) for A, in calls) == 1
+            assert len(calls) == 11
 
 
 def _plain_bisection(plant, lo, hi, tol):
