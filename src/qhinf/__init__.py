@@ -12,8 +12,7 @@ from .synth import (Controller, LyapunovQuad, Prepared, SynthesisResult,
                     build_controller, gamma_threshold, min_certified_gamma,
                     prepare, synthesize, synthesize_at)
 from .passive import (PassivePlant, PassiveThreshold, build_passive_plant,
-                      passive_gamma_threshold, synthesize_passive,
-                      synthesize_passive_at)
+                      passive_gamma_threshold, synthesize_passive)
 from .verify import (AttenuationReport, ClosedLoop, OracleResult, are_oracle,
                      attenuation_certificate, close_loop)
 from .devices import (CavitySpec, DpaSpec, build_cavity, build_dpa,

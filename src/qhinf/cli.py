@@ -15,10 +15,10 @@ import numpy as np
 from . import devices, docio, linalg, qls, report
 from .errors import AssumptionError, ParameterError, QhinfError, positive_gamma
 from .options import DEFAULT, NumericOptions
-from .passive import PassivePlant, passive_gamma_threshold, synthesize_passive
 from .plant import HinfPlant, Plant
 from .qls import SlhModel
-from .synth import Controller, build_controller, synthesize
+from .synth import (Controller, build_controller, gamma_threshold, prepare,
+                    synthesize)
 from .verify import are_oracle, attenuation_certificate, close_loop
 
 PROFILES = {
@@ -55,12 +55,6 @@ def _load_plant(path: str, gamma: float | None) -> Plant:
     if not isinstance(plant, Plant):
         raise docio.DocumentError(f"{path}: document does not describe a plant")
     return plant
-
-
-def _synthesize(plant: Plant):
-    if isinstance(plant, PassivePlant):
-        return synthesize_passive(plant)
-    return synthesize(plant)
 
 
 def cmd_check(args) -> int:
@@ -120,7 +114,7 @@ def cmd_synthesize(args) -> int:
             f"closed-loop Hinf     : {cert.hinf:.10g}\n")
         _emit(text, args.out)
         return 0 if oracle.certified else 2
-    result = _synthesize(obj)
+    result = synthesize(obj)
     rep = report.synthesis_report(obj, result)
     _emit(report.render_json(rep) if args.json else report.render_text(rep), args.out)
     return 0 if result.certified else 2
@@ -159,7 +153,7 @@ def cmd_sweep(args) -> int:
         certified, hinf = 0, float("nan")
         try:
             at = plant.with_gamma(g)
-            res = _synthesize(at)
+            res = synthesize(at)
             if res.certified:   # one rho(XY) margin gates it and the controller
                 hinf = close_loop(at, res.controller).hinf
                 certified = 1
@@ -207,7 +201,7 @@ def cmd_example(args) -> int:
     if args.device == "cavity":
         spec = devices.CavitySpec(args.k1, args.k2, **gamma)
         plant = devices.build_cavity(spec, opts)
-        res = synthesize_passive(plant)
+        res = synthesize(plant)
         ref = devices.cavity_reference(spec)
         lines.append(f"cavity kappa1={spec.kappa1} kappa2={spec.kappa2} "
                      f"gamma={spec.gamma}: certified={res.certified}")
@@ -222,8 +216,8 @@ def cmd_example(args) -> int:
                     _compare("CK", res.controller.CK, [[ref["CK"]]])]:
                 lines.append(line)
                 ok = ok and good
-        thr = passive_gamma_threshold(plant)
-        lines.append(f"  attenuation threshold gamma* = {thr.gamma_star:.10g} "
+        lines.append(f"  attenuation threshold gamma* = "
+                     f"{gamma_threshold(prepare(plant)):.10g} "
                      f"(closed form {ref['gamma_star']:.10g})")
         doc = docio.document_for(plant)
     else:

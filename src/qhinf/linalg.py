@@ -325,7 +325,7 @@ def hinf_bracket(A, B, C, D, opts: NumericOptions = DEFAULT
     Level-set iteration (Boyd-Balakrishnan, Systems & Control Letters 15,
     1990; Bruinsma-Steinbuch, Systems & Control Letters 14, 1990).  The lower
     bound lo starts as the largest gain at w = 0, at infinity (sigma_max(D))
-    and at |Im lambda| and |lambda| of every pole.  Each step finds the
+    and at the distinct |Im lambda| and |lambda| of the poles.  Each step finds the
     frequencies where the gain crosses level = (1 + 2 hinf_tol) lo and raises
     lo to the largest gain at their midpoints.  When no crossing is left the
     norm is below the level, and the level is returned as upper: upper <
@@ -359,7 +359,8 @@ def hinf_bracket(A, B, C, D, opts: NumericOptions = DEFAULT
         return float(g[i])
 
     lam = resp.poles
-    attain(np.concatenate([[0.0], np.abs(lam.imag), np.abs(lam)]))
+    # conjugate poles repeat every |Im lambda| and |lambda|: evaluate each once
+    attain(np.unique(np.concatenate([[0.0], np.abs(lam.imag), np.abs(lam)])))
     lo = best
     margin = 2.0 * opts.hinf_tol
     for _ in range(_MAX_LEVELS):

@@ -25,8 +25,8 @@ class NumericOptions:
     # smallest eigenvalue for a matrix to count as positive definite,
     # relative to max(1, its Frobenius norm); also the certification margin
     # rho(XY) < 1 - pd_tol (the same gate builds the controller), the PBH
-    # rank tests and the degenerate (unforced) Lyapunov pair of the passive
-    # threshold
+    # rank tests and the degenerate (unforced) Lyapunov pair of
+    # gamma_threshold
     pd_tol: float = 1e-10
     # slack for positive-semidefiniteness checks, i.e. the Riccati oracle's
     # X, Y >= 0 (eigenvalues may dip this far below zero from rounding)

@@ -4,25 +4,23 @@ Passive systems need only the n-dimensional complex description.
 PassivePlant is the shared plant.Plant with a zero free generator (the
 detuning is rotated away) and the conjugate transpose as the adjoint, so
 its shifted generator Ax = (C1^H C1 - C2^H C2)/2 is Hermitian.  The
-stable/anti-stable split is then an eigendecomposition with an empty
-coupling block, and the coupling spectral radius rho(XY) is exactly zero:
-the two positivity tests are necessary AND sufficient, giving a sharp
-attenuation threshold gamma*.  Everything after the split is the shared
-core in synth.
+stable/anti-stable split is then an eigendecomposition, and the adjoint
+does not couple its blocks (couples_blocks is False): rho(XY) = 0 and
+gamma* is sharp.  Synthesis and gamma* are synth's; synthesize_passive and
+passive_gamma_threshold only name them for passive plants.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import linalg
 from .errors import SynthesisError
 from .linalg import SchurSplit
 from .options import DEFAULT, NumericOptions
 from .plant import Plant
-from .synth import (Prepared, SynthesisResult, assemble_xy, build_controller,
-                    positivity, prepare, riccati_residuals, riccati_weights)
+from .synth import (SynthesisResult, gamma_threshold, positivity, prepare,
+                    synthesize)
 
 
 @dataclass
@@ -33,6 +31,7 @@ class PassivePlant(Plant):
     (l x n); D12, D21 are unitary.  The free generator is zero, so the
     shifted generators are Ax (Hermitian) and its mirror Ay = -Ax.
     """
+    couples_blocks = False
 
     @staticmethod
     def adjoint(M: np.ndarray) -> np.ndarray:
@@ -75,70 +74,37 @@ def build_passive_plant(C1, C2, D12=None, D21=None, gamma: float = 1.0,
     return PassivePlant(C1, C2, D12, D21, gamma, opts=opts)
 
 
-def synthesize_passive_at(prep: Prepared, gamma: float) -> SynthesisResult:
-    """Lyapunov-based synthesis at gamma on a prepared passive plant.
-
-    X is supported on the anti-stable eigenspace of Ax and Y on the stable
-    one, so rho(XY) = 0 identically and certification reduces to positive
-    definiteness of S - T/gamma^2 and U - V/gamma^2.
-    """
-    plant, quad = prep.at(gamma)
-    diagnostics, failure, _ = positivity(quad.SmTg, quad.UmVg, plant.opts)
-    if failure:
-        return SynthesisResult(plant.gamma, None, quad, None, None, None,
-                               0.0, False, None, certified=False,
-                               regime="passive", failure=failure,
-                               diagnostics=diagnostics)
-    weights = riccati_weights(plant)
-    X, Y, rho_xy, _ = assemble_xy(plant, prep.split, quad)
-    controller = build_controller(plant, X, Y)
-    return SynthesisResult(plant.gamma, None, quad, X, Y, None, rho_xy,
-                           True, controller, certified=True, regime="passive",
-                           diagnostics={**diagnostics, **riccati_residuals(
-                               plant, X, Y, weights)})
-
-
 def synthesize_passive(plant: PassivePlant) -> SynthesisResult:
-    """prepare, then synthesize_passive_at the plant's own gamma."""
-    return synthesize_passive_at(prepare(plant), plant.gamma)
+    """synth.synthesize, under the name the passive examples use."""
+    return synthesize(plant)
 
 
 @dataclass
 class PassiveThreshold:
     """Sharp attenuation threshold for a passive plant.
 
-    gamma_star is the infimum target above which both positivity tests hold;
-    binding says which block sets it.  Each block contributes the largest
-    generalized eigenvalue of its Lyapunov pair (T against S, V against U);
-    an empty or unforced block contributes nothing.
+    Both positivity tests hold exactly above gamma_star.  binding names the
+    block whose difference has the smaller lambda_min at gamma_star:
+    "performance" (S - T/gamma^2) or "measurement" (U - V/gamma^2).
     """
     gamma_star: float
     binding: str
-    lam_ts: float
-    lam_vu: float
 
     def __float__(self) -> float:
         return self.gamma_star
 
 
 def passive_gamma_threshold(plant: PassivePlant) -> PassiveThreshold:
-    """gamma* with S - T/g^2 > 0 and U - V/g^2 > 0 exactly for g > gamma*."""
+    """synth.gamma_threshold of the plant and the block that binds there."""
     prep = prepare(plant)
-    # S and U are the two blocks at gamma = infinity
-    flags, _, _ = positivity(prep.S, prep.U, plant.opts)
-    if not all(flags.values()):
+    g_star = gamma_threshold(prep)
+    if g_star is None:
         raise SynthesisError(
             "degenerate Lyapunov pair: the forced block is not positive "
             "definite, threshold undefined")
-
-    def block_threshold(num, den):
-        # largest t with den - num/t^2 losing definiteness: t^2 = lam_max(num, den)
-        if not den.size:
-            return 0.0
-        return float(max(0.0, np.max(sla.eigvalsh(num, den).real)))
-
-    t_x = block_threshold(prep.T, prep.S)
-    t_y = block_threshold(prep.V, prep.U)
-    binding = "performance" if t_x >= t_y else "measurement"
-    return PassiveThreshold(float(np.sqrt(max(t_x, t_y))), binding,
-                            lam_ts=t_x, lam_vu=t_y)
+    if not g_star:   # T = V = 0: no gamma binds
+        return PassiveThreshold(0.0, "performance")
+    quad = prep.at(g_star)[1]
+    lam_x, lam_y = positivity(quad.SmTg, quad.UmVg, plant.opts)[1]
+    return PassiveThreshold(
+        g_star, "measurement" if lam_y < lam_x else "performance")

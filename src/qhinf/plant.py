@@ -50,6 +50,8 @@ class Plant:
     B2: np.ndarray = field(init=False)
     Ax: np.ndarray = field(init=False)
     Ay: np.ndarray = field(init=False)
+    # whether the adjoint couples the split's stable and anti-stable blocks
+    couples_blocks = True
 
     def _build(self, G: np.ndarray) -> None:
         """Cast the channels to G's dtype, check them and gamma, and derive

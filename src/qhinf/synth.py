@@ -32,8 +32,10 @@ gamma_threshold predicts gamma* from one quadratic eigenproblem on the
 prepared S, T, U, V.  min_certified_gamma lets that prediction decide the
 midpoints far from it and checks the outcome with verdicts.
 
-The four solves, the X/Y assembly and the controller serve both plant kinds;
-a plant supplies its shifted generators Ax, Ay and its adjoint.
+Every stage serves both plant kinds.  A plant supplies its split, Ax, Ay
+and its adjoint, and its class says whether that adjoint couples the split's
+two blocks (couples_blocks; a passive plant's does not).  On an uncoupled
+split rho(XY) = 0 and gamma* comes from one Hermitian-definite pencil.
 """
 
 from dataclasses import dataclass, field, replace
@@ -45,7 +47,7 @@ from . import linalg
 from .errors import AssumptionError, SynthesisError
 from .linalg import SchurSplit
 from .options import DEFAULT, NumericOptions
-from .plant import HinfPlant, Plant
+from .plant import Plant
 from .qls import j_symplectic
 
 
@@ -97,7 +99,7 @@ class SynthesisResult:
     sigma_condition: bool | None
     controller: Controller | None
     certified: bool
-    regime: str = "general"        # "general" or "symmetric-iff"
+    regime: str = "general"        # "general", "symmetric-iff" or "passive"
     failure: str = ""              # violated condition when not certified
     diagnostics: dict = field(default_factory=dict)
 
@@ -196,19 +198,18 @@ def prepare(plant: Plant) -> Prepared:
 
 
 def positivity(SmTg: np.ndarray, UmVg: np.ndarray,
-               opts: NumericOptions = DEFAULT) -> tuple[dict, str, tuple]:
+               opts: NumericOptions = DEFAULT) -> tuple[str, tuple]:
     """Decide S - T/gamma^2 > 0 and U - V/gamma^2 > 0, each by one eigvalsh:
     lambda_min > pd_tol max(1, ||block||_F).  The Lyapunov solutions are
-    exactly Hermitian.  Returns the flags (an empty block passes), the
-    refusal naming every failing block ("" if none) and the two lambda_min
-    (inf for an empty block), which synthesize_at's sigma short-cut reads."""
+    exactly Hermitian.  Returns the refusal naming every failing block (""
+    if none; an empty block passes) and the two lambda_min (inf for an empty
+    block), which synthesize_at's sigma short-cut reads."""
     lam_min = tuple(float(np.linalg.eigvalsh(P)[0]) if P.size else np.inf
                     for P in (SmTg, UmVg))
-    flags = {key: bool(lam > opts.pd_tol * max(1.0, float(np.linalg.norm(P))))
-             for key, lam, P in zip(("smtg_pd", "umvg_pd"), lam_min, (SmTg, UmVg))}
-    bad = [name for name, ok in zip(("S - T/gamma^2", "U - V/gamma^2"),
-                                    flags.values()) if not ok]
-    return flags, " and ".join(bad) + " not positive definite" if bad else "", lam_min
+    bad = [name for name, lam, P in zip(("S - T/gamma^2", "U - V/gamma^2"),
+                                        lam_min, (SmTg, UmVg))
+           if not lam > opts.pd_tol * max(1.0, float(np.linalg.norm(P)))]
+    return " and ".join(bad) + " not positive definite" if bad else "", lam_min
 
 
 def riccati_weights(plant) -> tuple[np.ndarray, np.ndarray]:
@@ -236,9 +237,15 @@ def assemble_xy(plant, split: SchurSplit, quad: LyapunovQuad):
     X = W.conj().T @ Xt @ W
     Y = plant.adjoint(W.conj().T @ Yt @ W) / plant.gamma ** 2
     X, Y = 0.5 * (X + X.conj().T), 0.5 * (Y + Y.conj().T)
-    # an empty block leaves X = 0 or Y = 0 exactly, and XY = 0
-    rho = linalg.spectral_radius(X @ Y) if split.n_stable and split.n_anti else 0.0
+    rho = 0.0 if uncoupled(plant, split) else linalg.spectral_radius(X @ Y)
     return X, Y, rho, UmVg_inv
+
+
+def uncoupled(plant, split: SchurSplit) -> bool:
+    """Whether nothing couples the split's blocks: the adjoint does not
+    (couples_blocks) or a block is empty.  X and Y then live on different
+    blocks, so rho(XY) = 0 and positivity alone decides."""
+    return not (plant.couples_blocks and split.n_stable and split.n_anti)
 
 
 def riccati_residuals(plant, X: np.ndarray, Y: np.ndarray, weights) -> dict:
@@ -252,15 +259,7 @@ def riccati_residuals(plant, X: np.ndarray, Y: np.ndarray, weights) -> dict:
     }
 
 
-def _is_symmetric_regime(Ax: np.ndarray, Z: np.ndarray, opts: NumericOptions) -> bool:
-    scale = 1.0 + np.linalg.norm(Ax)
-    sym = np.linalg.norm(Ax - Ax.T) <= opts.struct_tol * scale
-    n2 = Z.shape[0]
-    z_id = min(np.linalg.norm(Z - np.eye(n2)), np.linalg.norm(Z + np.eye(n2)))
-    return bool(sym and z_id <= opts.struct_tol * n2)
-
-
-def certify(plant: HinfPlant, prep: Prepared, X: np.ndarray,
+def certify(plant: Plant, prep: Prepared, X: np.ndarray,
             Y: np.ndarray, rho_xy: float, rho_ok: bool, weights,
             UmVg_inv) -> tuple[list[str], dict]:
     """The conditions the assembled (X, Y) must meet to certify the target.
@@ -366,7 +365,7 @@ def verdict(prep: Prepared, gamma: float) -> Verdict:
     the controller it guards).  synthesize_at reports this verdict and
     min_certified_gamma bisects on it."""
     plant, quad = prep.at(gamma)
-    _, failure, lam_min = positivity(quad.SmTg, quad.UmVg, plant.opts)
+    failure, lam_min = positivity(quad.SmTg, quad.UmVg, plant.opts)
     v = Verdict(plant, quad, lam_min, [failure] if failure else [])
     if failure:
         return v
@@ -386,12 +385,14 @@ def verdict(prep: Prepared, gamma: float) -> Verdict:
 
 def _z_and_regime(prep: Prepared) -> tuple[np.ndarray, str]:
     """Z = JJ W JJ^T W^T, written with the (sharp) adjoint, read-only, and
-    the regime label it and Ax decide."""
-    plant, W = prep.plant, prep.split.W
+    the regime: "symmetric-iff" when Ax is symmetric and Z = +-I."""
+    plant, W, tol = prep.plant, prep.split.W, prep.plant.opts.struct_tol
     Z = plant.adjoint(W.T) @ W.T
     Z.flags.writeable = False
-    return Z, ("symmetric-iff" if _is_symmetric_regime(plant.Ax, Z, plant.opts)
-               else "general")
+    Ax, I = plant.Ax, np.eye(len(Z))
+    sym = (np.linalg.norm(Ax - Ax.T) <= tol * (1.0 + np.linalg.norm(Ax))
+           and min(np.linalg.norm(Z - I), np.linalg.norm(Z + I)) <= tol * len(Z))
+    return Z, "symmetric-iff" if sym else "general"
 
 
 def synthesize_at(prep: Prepared, gamma: float) -> SynthesisResult:
@@ -403,32 +404,37 @@ def synthesize_at(prep: Prepared, gamma: float) -> SynthesisResult:
     is recorded as sigma_condition; when Ax is symmetric and Z is (up to
     sign) the identity it is an exact characterization and the result is
     labeled "symmetric-iff", otherwise it is only sufficient and rho(XY)
-    rules.
+    rules; on an uncoupled split it holds, as rho(XY) = 0 does.  A passive
+    result is labeled "passive" and carries neither its complex split nor Z.
     """
     v = verdict(prep, gamma)
     plant, split = v.plant, prep.split
+    passive = not plant.couples_blocks
+    schur = None if passive else split
     if v.X is None:
-        return SynthesisResult(plant.gamma, split, v.quad, None, None, None,
-                               None, None, None, certified=False,
-                               failure=v.why[0])
-    Z, regime = _once(prep, "z_regime", lambda: _z_and_regime(prep))
+        return SynthesisResult(
+            plant.gamma, schur, v.quad, None, None, None, 0.0 if passive else None,
+            True if passive else None, None, certified=False,
+            regime="passive" if passive else "general", failure=v.why[0])
+    Z, regime = ((None, "passive") if passive
+                 else _once(prep, "z_regime", lambda: _z_and_regime(prep)))
     # positivity passed, so sigma_max of each inverse is 1 / lambda_min;
     # vacuous factors are 1 for empty blocks
     f_x, f_y = (1.0 / lam if size else 1.0
                 for lam, size in zip(v.lam_min, (split.n_anti, split.n_stable)))
-    sigma_condition = (bool(f_x * f_y < plant.gamma ** 2)
-                       if (split.n_anti and split.n_stable) else True)
+    sigma_condition = (uncoupled(plant, split)
+                       or bool(f_x * f_y < plant.gamma ** 2))
     controller = (build_controller(plant, v.X, v.Y, v.IYX)
                   if v.IYX is not None else None)
     diagnostics = {**riccati_residuals(plant, v.X, v.Y, v.weights), **v.gates,
                    "sigma_product": float(f_x * f_y), "failure_reasons": v.why}
-    return SynthesisResult(plant.gamma, split, v.quad, v.X, v.Y, Z, v.rho_xy,
+    return SynthesisResult(plant.gamma, schur, v.quad, v.X, v.Y, Z, v.rho_xy,
                            sigma_condition, controller, v.certified,
                            regime=regime, failure="; ".join(v.why),
                            diagnostics=diagnostics)
 
 
-def synthesize(plant: HinfPlant) -> SynthesisResult:
+def synthesize(plant: Plant) -> SynthesisResult:
     """Full pipeline: split -> Lyapunov -> X/Y -> certificate -> controller.
     Structural violations raise (the split raises an AssumptionError when
     the spectral assumption fails); a solvability failure at the stated
@@ -447,8 +453,9 @@ def gamma_threshold(prep: Prepared) -> float | None:
 
     F = W2 E^H W1^H couples the anti-stable rows W2 of W to the stable rows
     W1 through the congruence E of the plant's adjoint, adj(M) = E^H M^H E:
-    E = JJ for a HinfPlant, and E = I for a passive plant, where F = 0.
-    With L(0) = diag(S, U) = R R^H and mu = 1/nu, the quadratic eigenproblem
+    E = JJ for a HinfPlant.  An uncoupled split has F = 0, and gamma*^2 is
+    the top eigenvalue of the pencil (diag(T, V), diag(S, U)).  Otherwise,
+    with L(0) = diag(S, U) = R R^H and mu = 1/nu, the quadratic eigenproblem
     mu^2 I + mu K1 + K2, K1 = R^-1 [[0, F], [F^H, 0]] R^-H and
     K2 = -R^-1 diag(T, V) R^-H <= 0, is hyperbolic: its 2n eigenvalues are
     real, and gamma* is the largest (0 when none is positive), taken from
@@ -457,19 +464,20 @@ def gamma_threshold(prep: Prepared) -> float | None:
     the certified boundary slightly above it.
     """
     plant, split = prep.plant, prep.split
-    flags, _, _ = positivity(prep.S, prep.U, plant.opts)
-    if not all(flags.values()):
+    if positivity(prep.S, prep.U, plant.opts)[0]:
         return None
     L0 = sla.block_diag(prep.S, prep.U)
+    L2 = sla.block_diag(prep.T, prep.V)
+    if uncoupled(plant, split):
+        return float(np.sqrt(max(sla.eigvalsh(L2, L0)[-1], 0.0)))
+    na, sd, W = split.n_anti, split.n_stable, split.W
     L1 = np.zeros_like(L0)
-    if isinstance(plant, HinfPlant):
-        na, sd, W = split.n_anti, split.n_stable, split.W
-        L1[:na, na:] = W[sd:] @ j_symplectic(plant.n_modes).T @ W[:sd].T
-        L1[na:, :na] = L1[:na, na:].T
+    L1[:na, na:] = W[sd:] @ j_symplectic(plant.n_modes).T @ W[:sd].T
+    L1[na:, :na] = L1[:na, na:].T
     n = L0.shape[0]
     Rinv = sla.solve_triangular(np.linalg.cholesky(L0), np.eye(n), lower=True)
     K1 = Rinv @ L1 @ Rinv.conj().T
-    K2 = -Rinv @ sla.block_diag(prep.T, prep.V) @ Rinv.conj().T
+    K2 = -Rinv @ L2 @ Rinv.conj().T
     companion = np.block([[np.zeros((n, n)), np.eye(n)], [-K2, -K1]])
     return float(np.max(np.linalg.eigvals(companion).real, initial=0.0))
 
@@ -492,7 +500,7 @@ def _bisect(certifies, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return lo, hi
 
 
-def min_certified_gamma(plant: HinfPlant, lo: float, hi: float,
+def min_certified_gamma(plant: Plant, lo: float, hi: float,
                         tol: float = 1e-6) -> float:
     """Bisect for the smallest gamma in [lo, hi] whose synthesis certifies.
 

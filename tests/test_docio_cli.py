@@ -13,7 +13,7 @@ from qhinf.docio import (DocumentError, SystemDocument, atomic_write_text,
                          instantiate, load_document, pairs_to_complex,
                          save_document)
 from qhinf.errors import AssumptionError
-from qhinf.passive import PassivePlant, synthesize_passive
+from qhinf.passive import PassivePlant
 from qhinf.plant import HinfPlant
 from qhinf.synth import build_controller, synthesize
 from qhinf.verify import are_oracle, close_loop
@@ -199,8 +199,7 @@ class TestCli:
             for g in map(float, np.linspace(0.4, 4.0, 7)):
                 at = plant.with_gamma(g)
                 try:
-                    res = (synthesize_passive(at) if isinstance(at, PassivePlant)
-                           else synthesize(at))
+                    res = synthesize(at)
                 except AssumptionError:
                     rows.append([g, 0, float("nan")])
                     continue
@@ -260,7 +259,7 @@ class TestCli:
 
     def test_controller_document_round_trip(self, tmp_path, capsys):
         plant = devices.build_cavity(devices.CavitySpec(1.0, 4.0, 0.6))
-        res = synthesize_passive(plant)
+        res = synthesize(plant)
         assert res.certified
         plant_path = str(tmp_path / "plant.json")
         ctl_path = str(tmp_path / "controller.json")

@@ -6,7 +6,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import qhinf
-from qhinf import cli, passive, plant, report, synth, verify
+from qhinf import passive, plant, report, synth, verify
 from qhinf.options import NumericOptions
 
 
@@ -69,11 +69,10 @@ PLANT_STAGES = [
     synth.prepare, synth.solve_quad, synth.verdict, synth.synthesize_at,
     synth.assemble_xy, synth.riccati_residuals, synth.certify,
     synth.build_controller, synth.synthesize, synth.gamma_threshold,
-    synth.min_certified_gamma,
-    passive.synthesize_passive_at, passive.synthesize_passive,
-    passive.passive_gamma_threshold,
+    synth.min_certified_gamma, synth.uncoupled,
+    passive.synthesize_passive, passive.passive_gamma_threshold,
     verify.are_oracle, verify.close_loop, verify.attenuation_certificate,
-    report.synthesis_report, cli._synthesize,
+    report.synthesis_report,
 ]
 
 

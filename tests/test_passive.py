@@ -80,6 +80,26 @@ class TestSynthesis:
         assert is_hurwitz(cl.A)
 
 
+class TestSharedPath:
+    def test_result_fields_certified_and_refused(self):
+        # synth's one path labels a passive result "passive" and leaves out
+        # the complex split and Z (the benchmark's split check assumes a
+        # real orthogonal W); rho(XY) = 0 and the sigma short-cut hold
+        # whatever the verdict: refused by positivity (0.5, 0.999), by a
+        # loop Hurwitz gate just above gamma* (1 + 1e-10), or certified
+        rng = np.random.default_rng(5)
+        seen = set()
+        for _ in range(4):
+            plant = random_passive_plant(rng, int(rng.integers(1, 4)))
+            gs = passive_gamma_threshold(plant).gamma_star
+            for f in (0.5, 0.999, 1 + 1e-10, 1.001, 2.0):
+                res = synthesize(plant.with_gamma(f * gs))
+                seen.add((res.certified, res.X is None))
+                assert (res.schur, res.Z, res.regime) == (None, None, "passive")
+                assert res.sigma_condition is True and res.rho_xy == 0.0
+        assert seen == {(True, False), (False, True), (False, False)}
+
+
 class TestAgainstQuadraturePipeline:
     def test_real_passive_plant_matches_general_route(self, rng):
         # a real passive plant can also be fed to the generic quadrature

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,12 +13,12 @@ from conftest import (count_calls, on_axis_plants, random_general_plant,
                       random_sym_plant)
 from qhinf import linalg, synth
 from qhinf.cli import PROFILES
-from qhinf.devices import CavitySpec, DpaSpec, build_cavity, build_dpa
+from qhinf.devices import (CavitySpec, DpaSpec, build_cavity, build_dpa,
+                           cavity_reference)
 from qhinf.errors import AssumptionError, OracleError, SynthesisError
 from qhinf.linalg import is_hurwitz
 from qhinf.passive import (PassivePlant, build_passive_plant,
-                           passive_gamma_threshold, synthesize_passive,
-                           synthesize_passive_at)
+                           passive_gamma_threshold, synthesize_passive)
 from qhinf.plant import HinfPlant, build_plant
 from qhinf.qls import j_symplectic, sharp_adjoint
 from qhinf.synth import (PREDICTION_BAND, gamma_threshold, min_certified_gamma,
@@ -95,9 +96,6 @@ class TestPrepared:
             for g in gammas:
                 _same_result(synthesize_at(prep, g),
                              synthesize(plant.with_gamma(g)))
-                if isinstance(plant, PassivePlant):
-                    _same_result(synthesize_passive_at(prep, g),
-                                 synthesize_passive(plant.with_gamma(g)))
                 checked.add(synthesize_at(prep, g).certified)
         assert checked == {True, False}
 
@@ -154,12 +152,6 @@ def _separate_builds(rng):
         lambda g: build_dpa(DpaSpec(2.0, 2.5, 1.0, g))
 
 
-def _any_synthesis(plant):
-    if isinstance(plant, PassivePlant):
-        return synthesize_passive(plant)
-    return synthesize(plant)
-
-
 class TestPrepareReuse:
     def test_gamma_grid_splits_once(self, monkeypatch):
         # a grid of plants built separately at each gamma, or through
@@ -171,13 +163,13 @@ class TestPrepareReuse:
             fresh = []
             for g in gammas:
                 monkeypatch.setattr(synth, "_last", (None, None))
-                fresh.append(_any_synthesis(build(g)))
+                fresh.append(synthesize(build(g)))
             for grid in ([build(g) for g in gammas],
                          [plant.with_gamma(g) for g in gammas]):
                 monkeypatch.setattr(synth, "_last", (None, None))
                 splits.clear()
                 for at, want in zip(grid, fresh):
-                    _same_result(_any_synthesis(at), want)
+                    _same_result(synthesize(at), want)
                 assert len(splits) == 1
 
     def test_other_physics_is_prepared_again(self, monkeypatch):
@@ -209,7 +201,7 @@ class TestPrepareReuse:
             splits.clear()
             for _ in range(3):
                 with pytest.raises(AssumptionError):
-                    _any_synthesis(plant)
+                    synthesize(plant)
             assert len(splits) == 3
         # the refusals left the last good entry in place
         assert synth._last[1].split is kept.split
@@ -325,15 +317,31 @@ class TestGammaThreshold:
                 min_certified_gamma(plant, 0.05, 50.0, tol=1e-13)
 
     def test_passive_threshold_is_the_uncoupled_case(self):
-        # F = 0 for the passive adjoint: L(nu) splits into the two pencils
-        # that passive_gamma_threshold solves
+        # F = 0 for the passive adjoint: L(nu) splits into the pencils
+        # (T, S) and (V, U), and the block whose pencil reaches higher binds
+        def two_pencils(prep):
+            tops = [float(sla.eigvalsh(num, den)[-1]) if den.size else 0.0
+                    for num, den in ((prep.T, prep.S), (prep.V, prep.U))]
+            return (np.sqrt(max(max(tops), 0.0)),
+                    "performance" if tops[0] >= tops[1] else "measurement")
+
         rng = np.random.default_rng(42)
-        plants = [random_passive_plant(rng, n) for n in (1, 2, 3, 4, 6)]
-        plants += [build_cavity(CavitySpec(k1, k2))
-                   for k1, k2 in ((1.0, 4.0), (0.3, 0.5), (2.0, 2.5))]
-        for plant in plants:
-            want = passive_gamma_threshold(plant).gamma_star
-            assert gamma_threshold(prepare(plant)) == pytest.approx(want, rel=1e-12)
+        bindings = set()
+        for n in (1, 2, 3, 4, 6, 2, 3, 4):
+            plant = random_passive_plant(rng, n)
+            want, binding = two_pencils(prepare(plant))
+            thr = passive_gamma_threshold(plant)
+            assert thr.gamma_star == pytest.approx(want, rel=1e-12)
+            assert gamma_threshold(prepare(plant)) == thr.gamma_star
+            assert thr.binding == binding
+            bindings.add(binding)
+        assert bindings == {"performance", "measurement"}
+        # the cavity's closed form
+        for k1, k2 in ((1.0, 4.0), (0.3, 0.5), (2.0, 2.5)):
+            spec = CavitySpec(k1, k2)
+            got = gamma_threshold(prepare(build_cavity(spec)))
+            assert got == pytest.approx(cavity_reference(spec)["gamma_star"],
+                                        rel=1e-12)
 
     def test_unforced_pair_has_no_prediction(self):
         prep = prepare(random_sym_plant(np.random.default_rng(43), 2))
@@ -465,13 +473,11 @@ class TestCertification:
     def test_positivity_keeps_lambda_min(self):
         # one eigvalsh per block decides the refusal and hands its smallest
         # eigenvalue on; an empty block passes with lambda_min = inf
-        flags, failure, lam = positivity(np.diag([2.0, 0.5]),
-                                         np.diag([1.0, 1e-12]))
-        assert flags == {"smtg_pd": True, "umvg_pd": False}
+        failure, lam = positivity(np.diag([2.0, 0.5]), np.diag([1.0, 1e-12]))
         assert failure == "U - V/gamma^2 not positive definite"
         assert lam == (0.5, 1e-12)
-        flags, failure, lam = positivity(np.zeros((0, 0)), np.eye(1) * 3.0)
-        assert all(flags.values()) and failure == ""
+        failure, lam = positivity(np.zeros((0, 0)), np.eye(1) * 3.0)
+        assert failure == ""
         assert lam == (np.inf, 3.0)
 
     def test_certified_implies_controller(self):
