@@ -1,12 +1,15 @@
 """JSON system-description documents, reports, and CSV export.
 
 Matrices are stored as nested arrays of [re, im] pairs so documents are
-human-diffable and representation-explicit.  All file writes are atomic
-(write to a temp file in the same directory, then rename).
+human-diffable and representation-explicit.  Documents and reports are
+written by json_text, in the layout of json.dumps(indent=2, sort_keys=True),
+with each matrix encoded in one pass.  All file writes are atomic (write to
+a temp file in the same directory, then rename).
 """
 
 import json
 import os
+import re
 import tempfile
 from dataclasses import dataclass, field
 
@@ -28,9 +31,11 @@ class DocumentError(QhinfError, ValueError):
     """Malformed or inconsistent system document."""
 
 
-def complex_to_pairs(M: np.ndarray) -> list:
+def complex_to_pairs(M: np.ndarray) -> np.ndarray:
+    """M as a real array of [re, im] pairs, shape M.shape + (2,) (at least
+    2-D), the form documents store."""
     M = np.atleast_2d(np.asarray(M, dtype=complex))
-    return [[[float(x.real), float(x.imag)] for x in row] for row in M]
+    return np.stack([M.real, M.imag], -1)
 
 
 def pairs_to_complex(data, where: str = "matrix") -> np.ndarray:
@@ -48,6 +53,75 @@ def _realify_doc(M: np.ndarray, where: str) -> np.ndarray:
     if np.max(np.abs(M.imag), initial=0.0) > 0:
         raise DocumentError(f"{where}: must be real (all imaginary parts zero)")
     return M.real
+
+
+# json_text's stand-in for an array leaf; json.dumps writes it as
+# "\u0000ndarray:<i>\u0000"
+_ARRAY_LEAF = "\0ndarray:{}\0"
+_ARRAY_LEAF_TEXT = re.compile(r'"\\u0000ndarray:(\d+)\\u0000"')
+
+
+def _array_text(A: np.ndarray, indent: int) -> str:
+    """A non-empty array as json.dumps(A.tolist(), indent=2) writes it when
+    its opening bracket sits on a line indented by indent spaces.
+
+    The C encoder writes the compact form in one pass.  In a compact regular
+    array the separator between siblings at depth d is "]"*(k-d) ", "
+    "["*(k-d), and no number contains a bracket or ", ", so one replace per
+    depth, outermost first, puts each bracket and entry on its own line.
+    """
+    k = A.ndim
+    nl = ["\n" + " " * (indent + 2 * d) for d in range(k + 1)]
+
+    def closing(d):     # close the lists of levels k-1 down to d
+        return "".join(nl[j] + "]" for j in range(k - 1, d - 1, -1))
+
+    def opening(d):     # open the lists of levels d up to k-1
+        return "".join("[" + nl[j + 1] for j in range(d, k))
+
+    s = opening(0) + json.dumps(A.tolist())[k:-k] + closing(0)
+    for d in range(1, k + 1):
+        r = k - d
+        s = s.replace("]" * r + ", " + "[" * r, closing(d) + "," + nl[d] + opening(d))
+    return s
+
+
+def json_text(payload) -> str:
+    """json.dumps(payload, indent=2, sort_keys=True) + "\n", byte for byte,
+    with every np.ndarray leaf written as its tolist() would be.
+
+    The stdlib encoder writes the skeleton with a stand-in string for each
+    non-empty array, and _array_text writes the array itself in one C-level
+    pass.  Empty, 0-d and non-numeric arrays, and every array of a payload
+    whose strings could be taken for a stand-in, go through the stdlib
+    encoder as lists.
+    """
+    arrays = []
+
+    def skeleton(obj, stand_in):
+        if isinstance(obj, dict):
+            return {k: skeleton(v, stand_in) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [skeleton(v, stand_in) for v in obj]
+        if not isinstance(obj, np.ndarray):
+            return obj
+        if not (stand_in and obj.ndim and obj.size and obj.dtype.kind in "biuf"):
+            return obj.tolist()
+        arrays.append(obj)
+        return _ARRAY_LEAF.format(len(arrays) - 1)
+
+    text = json.dumps(skeleton(payload, True), indent=2, sort_keys=True)
+    leaves = list(_ARRAY_LEAF_TEXT.finditer(text))
+    if len(leaves) != len(arrays):
+        return json.dumps(skeleton(payload, False), indent=2, sort_keys=True) + "\n"
+    parts, end = [], 0
+    for m in leaves:
+        line = text[text.rfind("\n", 0, m.start()) + 1:m.start()]
+        parts += [text[end:m.start()],
+                  _array_text(arrays[int(m[1])], len(line) - len(line.lstrip(" ")))]
+        end = m.end()
+    parts.append(text[end:])
+    return "".join(parts) + "\n"
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -81,7 +155,7 @@ class SystemDocument:
         }
         if self.gamma is not None:
             payload["gamma"] = self.gamma
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json_text(payload)
 
 
 def save_document(doc: SystemDocument, path: str) -> None:

@@ -154,11 +154,13 @@ class SchurSplit:
     min_abs_real: float
 
 
-def _quasi_triangular_eigenvalues(T: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a real quasi-triangular T from its 1x1 and 2x2
-    diagonal blocks (a 2x2 block starts wherever the subdiagonal is
-    nonzero)."""
+def schur_eigenvalues(T: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Schur form T: the diagonal of a complex triangular
+    T; for a real quasi-triangular T, its 1x1 and 2x2 diagonal blocks (a 2x2
+    block starts wherever the subdiagonal is nonzero)."""
     lam = np.diag(T).astype(complex)
+    if np.iscomplexobj(T):
+        return lam
     for i in np.flatnonzero(np.diag(T, -1)):
         mean = 0.5 * (T[i, i] + T[i + 1, i + 1])
         root = np.sqrt(complex((0.5 * (T[i, i] - T[i + 1, i + 1])) ** 2
@@ -205,9 +207,9 @@ def ordered_schur_split(A: np.ndarray, opts: NumericOptions = DEFAULT) -> SchurS
         T, Z, sdim = sla.schur(A, output="real", sort=lambda re, im: re < 0.0)
     except np.linalg.LinAlgError as exc:
         # reordering fails when rounding flips the sign of a real part
-        lam = _quasi_triangular_eigenvalues(sla.schur(A, output="real")[0])
+        lam = schur_eigenvalues(sla.schur(A, output="real")[0])
         raise _near_axis(float(np.min(np.abs(lam.real)))) from exc
-    min_re = axis_margin(_quasi_triangular_eigenvalues(T), opts)
+    min_re = axis_margin(schur_eigenvalues(T), opts)
     # T[sdim:, :sdim] is zero by construction: a sorted real Schur form
     # never splits a 2x2 block across sdim
     return SchurSplit(

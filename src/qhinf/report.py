@@ -4,10 +4,9 @@ Reports are rebuilt from the result matrices every time they are rendered,
 so a report can never disagree with the object it describes.
 """
 
-import json
-
 import numpy as np
 
+from .docio import complex_to_pairs, json_text
 from .synth import SynthesisResult
 from .verify import attenuation_certificate, close_loop
 
@@ -16,13 +15,11 @@ def _num(x) -> float | None:
     return None if x is None else float(x)
 
 
-def _mat(M) -> list | None:
+def _mat(M) -> np.ndarray | None:
     if M is None:
         return None
     M = np.atleast_2d(np.asarray(M))
-    if np.iscomplexobj(M):
-        return [[[float(v.real), float(v.imag)] for v in row] for row in M]
-    return [[float(v) for v in row] for row in M]
+    return complex_to_pairs(M) if np.iscomplexobj(M) else M.astype(float)
 
 
 def synthesis_report(plant, result: SynthesisResult) -> dict:
@@ -31,7 +28,10 @@ def synthesis_report(plant, result: SynthesisResult) -> dict:
     Closed-loop figures are recomputed here from the stored matrices, with
     the plant's tolerances, as the synthesis used; the method path records
     which certification route applied (the passive route is exact, the
-    symmetric regime is exact, the general one is sufficient).
+    symmetric regime is exact, the general one is sufficient).  Matrix
+    entries (X, Y, the Lyapunov solutions, the controller) are float
+    arrays, complex data as [re, im] pairs (docio.complex_to_pairs);
+    render_json writes them as nested JSON lists.
     """
     method = {"passive": "passive-exact",
               "symmetric-iff": "general-symmetric-exact"}.get(
@@ -108,4 +108,4 @@ def render_text(rep: dict) -> str:
 
 
 def render_json(rep: dict) -> str:
-    return json.dumps(rep, indent=2, sort_keys=True) + "\n"
+    return json_text(rep)

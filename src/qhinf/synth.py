@@ -325,11 +325,12 @@ def build_controller(plant, X: np.ndarray, Y: np.ndarray,
                          + plant.B1 @ plant.D21.conj().T)
     AK = (plant.A + plant.B2 @ CK - BK @ plant.C2
           + (plant.B1 - BK @ plant.D21) @ plant.B1.conj().T @ X / g2)
-    resid = np.linalg.norm(AK + adj(AK) + BK @ adj(BK) + adj(CK) @ CK)
+    adj_BK, adj_CK = adj(BK), adj(CK)
+    resid = np.linalg.norm(AK + adj(AK) + BK @ adj_BK + adj_CK @ CK)
     pr = float(resid / (1.0 + np.linalg.norm(AK)))
     return Controller(AK, BK, CK,
-                      BKtilde=-adj(CK),
-                      CKtilde=-adj(BK),
+                      BKtilde=-adj_CK,
+                      CKtilde=-adj_BK,
                       pr_residual=pr,
                       needs_augmentation=bool(pr > plant.opts.pr_tol))
 

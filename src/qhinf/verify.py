@@ -18,7 +18,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import linalg
-from .errors import DimensionError, NotHurwitzError, OracleError
+from .errors import (DimensionError, ImaginaryAxisError, NotHurwitzError,
+                     OracleError)
 from .options import DEFAULT, NumericOptions
 from .plant import HinfPlant
 from .synth import Controller
@@ -34,13 +35,15 @@ def _stabilizing_riccati(A: np.ndarray, M: np.ndarray,
     real = np.isrealobj(A) and np.isrealobj(M) and np.isrealobj(Q)
     Ah = A.T if real else A.conj().T
     H = np.block([[A, M], [np.zeros((n, n)) if Q is None else -Q, -Ah]])
-    lam = np.linalg.eigvals(H)
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    if np.min(np.abs(lam.real)) <= opts.split_tol * scale:
+    try:
+        T, Z, sdim = sla.schur(H, output="real" if real else "complex", sort="lhp")
+        # the near-axis test reads the sorted form's eigenvalues; the
+        # reordering fails when rounding flips the sign of a real part
+        linalg.axis_margin(linalg.schur_eigenvalues(T), opts)
+    except (np.linalg.LinAlgError, ImaginaryAxisError) as exc:
         raise OracleError(
             "Hamiltonian matrix has an (almost) imaginary-axis eigenvalue; "
-            "no stabilizing solution exists at this attenuation level")
-    _, Z, sdim = sla.schur(H, output="real" if real else "complex", sort="lhp")
+            "no stabilizing solution exists at this attenuation level") from exc
     if sdim != n:
         raise OracleError("stable invariant subspace has wrong dimension")
     U1, U2 = Z[:n, :sdim], Z[n:, :sdim]

@@ -10,8 +10,8 @@ from qhinf import devices, qls
 from qhinf.cli import PROFILES, main, make_parser
 from qhinf.docio import (DocumentError, SystemDocument, atomic_write_text,
                          complex_to_pairs, csv_text, document_for,
-                         instantiate, load_document, pairs_to_complex,
-                         save_document)
+                         instantiate, json_text, load_document,
+                         pairs_to_complex, save_document)
 from qhinf.errors import AssumptionError
 from qhinf.passive import PassivePlant
 from qhinf.plant import HinfPlant
@@ -27,6 +27,39 @@ class TestComplexEncoding:
     def test_rejects_garbage(self):
         with pytest.raises(DocumentError):
             pairs_to_complex([[["a", "b"]]])
+
+
+def _as_lists(obj):
+    if isinstance(obj, dict):
+        return {k: _as_lists(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_as_lists(v) for v in obj]
+    return obj.tolist() if isinstance(obj, np.ndarray) else obj
+
+
+class TestJsonText:
+    ARRAYS = {
+        "0x0": np.zeros((0, 0)),
+        "2x0": np.zeros((2, 0)),
+        "1x1": np.array([[1.5]]),
+        "1-D": np.array([1.0, -2.5, 3e-300, 7.0]),
+        "0-D": np.array(0.1),
+        "nan-inf-negzero": np.array([[np.nan, np.inf], [-np.inf, -0.0]]),
+        "pairs": complex_to_pairs(np.array([[1 + 2j, -0.0 - 1e-17j, 3.25],
+                                            [np.nan, 1j, -4e10]])),
+        "4-D": np.arange(24.0).reshape(2, 3, 2, 2) / 7,
+        "strings": np.array([["a, [b]", "]"]]),
+    }
+
+    @pytest.mark.parametrize("name", ARRAYS)
+    def test_matches_stdlib_indent(self, name):
+        A = self.ARRAYS[name]
+        for payload in (A, {"m": A}, [A, "x", A],
+                        {"z": 1, "b": {"c": [A, None, {"d": A}]}, "a": A},
+                        # a string that reads as json_text's array stand-in
+                        {"s": "\0ndarray:0\0", "m": A}):
+            assert json_text(payload) == json.dumps(
+                _as_lists(payload), indent=2, sort_keys=True) + "\n"
 
 
 class TestDocuments:
@@ -112,9 +145,17 @@ class TestCli:
     def test_synthesize_json(self, rng, tmp_path, capsys):
         path = self.write_plant(rng, tmp_path)
         assert main(["synthesize", path, "--json"]) == 0
-        rep = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        rep = json.loads(out)
         assert rep["certified"] is True
         assert rep["gamma"] == pytest.approx(1.8)
+        # the report and the document it was read from are in the stdlib's
+        # indent=2, sort_keys=True layout, byte for byte
+        with open(path) as fh:
+            doc = fh.read()
+        for text in (out, doc):
+            assert text == json.dumps(json.loads(text), indent=2,
+                                      sort_keys=True) + "\n"
 
     def test_reports_carry_the_witness(self, rng, tmp_path, capsys):
         # synthesize --json and verify keep their keys and lines and add the

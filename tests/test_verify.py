@@ -1,7 +1,9 @@
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +17,10 @@ from qhinf.verify import (are_oracle, attenuation_certificate,
                           bounded_real_witness, close_loop,
                           _stabilizing_riccati)
 from test_acceptance import certified_cases
+
+NEAR_AXIS = re.escape(
+    "Hamiltonian matrix has an (almost) imaginary-axis eigenvalue; "
+    "no stabilizing solution exists at this attenuation level")
 
 
 class TestRiccatiOracle:
@@ -58,8 +64,20 @@ class TestRiccatiOracle:
 
     def test_axis_eigenvalue_raises(self):
         # zero drift, zero forcing: Hamiltonian spectrum sits on the axis
-        with pytest.raises(OracleError):
+        with pytest.raises(OracleError, match=NEAR_AXIS):
             _stabilizing_riccati(np.zeros((1, 1)), np.zeros((1, 1)))
+
+    def test_failed_reordering_is_the_axis_refusal(self):
+        # an undamped drift in generic coordinates: every Hamiltonian
+        # eigenvalue is on the axis, and rounding gives their real parts
+        # either sign, so the sorted Schur form's reordering itself fails
+        # (LAPACK reports the sort condition broken); the refusal is the same
+        rng = np.random.default_rng(13)
+        Q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        A = Q @ block_diag(*(np.array([[0.0, w], [-w, 0.0]])
+                             for w in (0.7, 1.3, 1.9))) @ Q.T
+        with pytest.raises(OracleError, match=NEAR_AXIS):
+            _stabilizing_riccati(A, np.zeros((6, 6)))
 
 
 class TestClosedLoop:
