@@ -1,14 +1,16 @@
 """Dense linear-algebra kernel used by the synthesis pipeline.
 
 Thin, checked wrappers around numpy/scipy factorizations plus the solvers
-the pipeline is built on: a Bartels-Stewart Lyapunov solver in two halves
-(solve_lyapunov: one Schur form, then solve_lyapunov_schur: LAPACK trsyl,
-O(n^3) together; the pipeline's split blocks are already in Schur form and
-go straight to the second half), Response, the one evaluator of the frequency
-response G(s), and a level-set H-infinity norm (a few Hamiltonian
-eigenvalue tests) that brackets the norm between a gain it attains and a
-bound it proves.  Everything works on complex input; real input stays real
-where the contract promises it.
+the pipeline is built on: the stable/anti-stable splits (an ordered real
+Schur form, or an eigendecomposition for a Hermitian matrix), a
+Bartels-Stewart Lyapunov solver in two halves (solve_lyapunov: one Schur
+form, then solve_lyapunov_schur: LAPACK trsyl, or a closed form for a
+diagonal T, O(n^3) together; the pipeline's split blocks are already in
+Schur form and go straight to the second half), Response, the one
+evaluator of the frequency response G(s), and a level-set H-infinity norm
+(a few Hamiltonian eigenvalue tests) that brackets the norm between a gain
+it attains and a bound it proves.  Everything works on complex input; real
+input stays real where the contract promises it.
 """
 
 from dataclasses import dataclass
@@ -89,6 +91,16 @@ def solve_lyapunov(A: np.ndarray, Q: np.ndarray,
     return 0.5 * (P + P.conj().T)
 
 
+# trsyl's machine constants: its precision eps and safe minimum
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
+
+
+def _singular_operator() -> ImaginaryAxisError:
+    return ImaginaryAxisError(
+        "Lyapunov operator is singular: eigenvalue pair with "
+        "lambda_i + conj(lambda_j) = 0")
+
+
 def solve_lyapunov_schur(T: np.ndarray, Q: np.ndarray,
                          opts: NumericOptions = DEFAULT) -> np.ndarray:
     """Solve T P + P T^H + Q = 0 for Hermitian P when T is already in
@@ -97,9 +109,13 @@ def solve_lyapunov_schur(T: np.ndarray, Q: np.ndarray,
 
     The triangular half of solve_lyapunov, without its Schur factorization:
     LAPACK trsyl by back substitution (O(n^3), a fraction of the Schur
-    form's cost), the scale trsyl reports, and symmetrization.  Real data
-    give a real P.
-    Raises ImaginaryAxisError when trsyl finds the operator singular or the
+    form's cost), the scale trsyl reports, and symmetrization.  A diagonal
+    T (the Hermitian split's blocks) is solved in closed form,
+    P_ij = -Q_ij / (lambda_i + conj(lambda_j)), which is what trsyl's back
+    substitution computes there, to the bit.  Real data give a real P.
+    Raises ImaginaryAxisError when the operator is singular in trsyl's test
+    (the closed form applies the same one: |lambda_i + conj(lambda_j)|, as
+    |Re| + |Im|, at most max(eps max|lambda|, n^2 tiny / eps)) or the
     residual exceeds residual_tol; the residual is taken with T itself, so
     it also refuses a T that is not in Schur form.
     """
@@ -113,15 +129,22 @@ def solve_lyapunov_schur(T: np.ndarray, Q: np.ndarray,
     scale = max(1.0, float(np.linalg.norm(Q)))
     if np.linalg.norm(Q - Q.conj().T) > opts.struct_tol * scale:
         raise ValueError("Q must be Hermitian")
-    real = np.isrealobj(T) and np.isrealobj(Q)
-    trsyl, = sla.get_lapack_funcs(("trsyl",), (T, Q))
-    Pt, trsyl_scale, info = trsyl(T, T, -Q, tranb="T" if real else "C")
-    if info != 0:
-        # info == 1: lambda_i + conj(lambda_j) (near) zero, trsyl perturbed
-        raise ImaginaryAxisError(
-            "Lyapunov operator is singular: eigenvalue pair with "
-            "lambda_i + conj(lambda_j) = 0")
-    P = Pt / trsyl_scale
+    lam = np.diag(T)
+    if np.count_nonzero(T) == np.count_nonzero(lam):   # T is diagonal
+        den = lam[:, None] + lam.conj()
+        size = (np.abs(den.real) + np.abs(den.imag) if np.iscomplexobj(den)
+                else np.abs(den))
+        if size.min() <= max(_EPS * np.abs(lam).max(), _TINY * n * n / _EPS):
+            raise _singular_operator()
+        P = -Q / den
+    else:
+        real = np.isrealobj(T) and np.isrealobj(Q)
+        trsyl, = sla.get_lapack_funcs(("trsyl",), (T, Q))
+        Pt, trsyl_scale, info = trsyl(T, T, -Q, tranb="T" if real else "C")
+        if info != 0:
+            # info == 1: lambda_i + conj(lambda_j) (near) zero, trsyl perturbed
+            raise _singular_operator()
+        P = Pt / trsyl_scale
     P = 0.5 * (P + P.conj().T)
     resid = np.linalg.norm(T @ P + P @ T.conj().T + Q)
     if resid > opts.residual_tol * max(1.0, np.linalg.norm(Q), np.linalg.norm(P)):
@@ -138,12 +161,14 @@ class SchurSplit:
     W is unitary with W A W^H = [[A11, A12], [0, A22]], where A11 carries
     the open-left-half-plane eigenvalues and A22 the open-right-half-plane
     ones.  The general split is an ordered real Schur form (W real
-    orthogonal, A11 and A22 quasi-triangular); the passive split is an
-    eigendecomposition of a Hermitian generator (A11 and A22 diagonal, A12
-    zero).  n_stable + n_anti = n; either block may be empty.  min_abs_real
-    is the smallest |Re lambda| over the spectrum, the distance to the
-    imaginary axis that the split tested (inf for an empty matrix).  Frozen:
-    synth.prepare shares one split between results.
+    orthogonal, A11 and A22 quasi-triangular); the Hermitian split, of a
+    passive plant's Hermitian generator or of a symmetric quadrature one,
+    is an eigendecomposition (A11 and A22 real diagonal, A12 zero, W
+    unitary, real for real input).  n_stable + n_anti = n; either block
+    may be empty.  min_abs_real is the smallest |Re lambda| over the
+    spectrum, the distance to the imaginary axis that the split tested (inf
+    for an empty matrix).  Frozen: synth.prepare shares one split between
+    results.
     """
     W: np.ndarray
     A11: np.ndarray
@@ -221,6 +246,24 @@ def ordered_schur_split(A: np.ndarray, opts: NumericOptions = DEFAULT) -> SchurS
         n_anti=n - int(sdim),
         min_abs_real=min_re,
     )
+
+
+def hermitian_split(A: np.ndarray, opts: NumericOptions = DEFAULT) -> SchurSplit:
+    """Split a Hermitian (real symmetric) matrix by its eigendecomposition,
+    negative eigenvalues first: W A W^H = diag(lambda), with diagonal
+    stable and anti-stable blocks and a zero coupling block A12.
+
+    eigh reads A's lower triangle, so a matrix that is Hermitian only to
+    rounding is split as the Hermitian matrix that triangle defines.
+    Raises ImaginaryAxisError, naming min |Re lambda|, when axis_margin
+    refuses the spectrum.
+    """
+    lam, Q = np.linalg.eigh(A)   # ascending: stable block first
+    min_re = axis_margin(lam, opts)
+    sd, n = int(np.sum(lam < 0)), lam.size
+    return SchurSplit(W=Q.conj().T, A11=np.diag(lam[:sd]),
+                      A12=np.zeros((sd, n - sd)), A22=np.diag(lam[sd:]),
+                      n_stable=sd, n_anti=n - sd, min_abs_real=min_re)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,11 @@ Passive systems need only the n-dimensional complex description.
 PassivePlant is the shared plant.Plant with a zero free generator (the
 detuning is rotated away) and the conjugate transpose as the adjoint, so
 its shifted generator Ax = (C1^H C1 - C2^H C2)/2 is Hermitian.  The
-stable/anti-stable split is then an eigendecomposition, and the adjoint
-does not couple its blocks (couples_blocks is False): rho(XY) = 0 and
-gamma* is sharp.  Synthesis and gamma* are synth's; synthesize_passive and
-passive_gamma_threshold only name them for passive plants.
+stable/anti-stable split is then linalg.hermitian_split, an
+eigendecomposition, and the adjoint does not couple its blocks
+(couples_blocks is False): rho(XY) = 0 and gamma* is sharp.  Synthesis and
+gamma* are synth's; synthesize_passive and passive_gamma_threshold only
+name them for passive plants.
 """
 
 from dataclasses import dataclass
@@ -39,21 +40,14 @@ class PassivePlant(Plant):
         return M.conj().T
 
     def split(self) -> SchurSplit:
-        """Eigendecompose Hermitian Ax with negative eigenvalues first.
-
-        Returns the split with W Ax W^H = diag(lam): diagonal stable and
+        """linalg.hermitian_split of the Hermitian Ax: diagonal stable and
         anti-stable blocks and a zero coupling block A12.  This is the
         plant's one test of the spectral assumption (A3/A4), made by
         linalg.axis_margin as for the general split: it raises
         ImaginaryAxisError, an AssumptionError, when an eigenvalue sits
         within split_tol of zero (the split is then ill-defined).
         """
-        lam, Q = np.linalg.eigh(self.Ax)   # ascending: stable block first
-        min_re = linalg.axis_margin(lam, self.opts)
-        sd, n = int(np.sum(lam < 0)), lam.size
-        return SchurSplit(W=Q.conj().T, A11=np.diag(lam[:sd]),
-                          A12=np.zeros((sd, n - sd)), A22=np.diag(lam[sd:]),
-                          n_stable=sd, n_anti=n - sd, min_abs_real=min_re)
+        return linalg.hermitian_split(self.Ax, self.opts)
 
     def __post_init__(self):
         n = np.atleast_2d(self.C1).shape[1]

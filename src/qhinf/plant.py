@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, StructureError, positive_gamma
-from .linalg import SchurSplit, ordered_schur_split
+from .linalg import SchurSplit, hermitian_split, ordered_schur_split
 from .options import DEFAULT, NumericOptions
 from .qls import j_symplectic, sharp_adjoint
 
@@ -108,7 +108,12 @@ class HinfPlant(Plant):
         return sharp_adjoint(M)
 
     def split(self) -> SchurSplit:
-        """Stable/anti-stable split of Ax by ordered real Schur form.
+        """Stable/anti-stable split of Ax: linalg.hermitian_split when Ax
+        is symmetric, ||Ax - Ax^T||_F <= n eps ||Ax||_F (n = Ax.shape[0],
+        the backward error the sorted Schur form itself commits), and an
+        ordered real Schur form otherwise.  Plants with a symmetric Ax, such
+        as the sym family and the DPA, so get diagonal blocks, which the
+        four Lyapunov solves and rho(XY) exploit.
 
         This is the plant's one test of the spectral assumption (A3/A4): it
         raises ImaginaryAxisError, an AssumptionError, when Ax has an
@@ -117,7 +122,11 @@ class HinfPlant(Plant):
         detectability (A1/A2) hold structurally for plants built from
         physical data.
         """
-        return ordered_schur_split(self.Ax, self.opts)
+        Ax = self.Ax
+        if (np.linalg.norm(Ax - Ax.T)
+                <= Ax.shape[0] * np.finfo(float).eps * np.linalg.norm(Ax)):
+            return hermitian_split(Ax, self.opts)
+        return ordered_schur_split(Ax, self.opts)
 
     def __post_init__(self):
         H = np.atleast_2d(np.asarray(self.Hmat, dtype=float))

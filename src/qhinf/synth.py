@@ -35,7 +35,12 @@ midpoints far from it and checks the outcome with verdicts.
 Every stage serves both plant kinds.  A plant supplies its split, Ax, Ay
 and its adjoint, and its class says whether that adjoint couples the split's
 two blocks (couples_blocks; a passive plant's does not).  On an uncoupled
-split rho(XY) = 0 and gamma* comes from one Hermitian-definite pencil.
+split rho(XY) = 0 and gamma* comes from one Hermitian-definite pencil.  On
+a coupled split both rho(XY) and gamma* read the coupling block F
+(coupling, once per physics), and rho(XY) is taken on the n_anti x n_anti
+anti-stable block instead of the 2n x 2n product XY.  A symmetric Ax (the
+passive plants, the sym family, the DPA) gets the Hermitian split, whose
+diagonal blocks make the four Lyapunov solves closed-form divisions.
 """
 
 from dataclasses import dataclass, field, replace
@@ -219,26 +224,51 @@ def riccati_weights(plant) -> tuple[np.ndarray, np.ndarray]:
             plant.C1.conj().T @ plant.C1 - g2 * plant.C2.conj().T @ plant.C2)
 
 
-def assemble_xy(plant, split: SchurSplit, quad: LyapunovQuad):
+def assemble_xy(plant, prep: Prepared, quad: LyapunovQuad):
     """Build the stabilizing Riccati solutions X, Y from the Lyapunov data.
 
-    X = W^H diag(0, (S - T/g^2)^-1) W and Y = adj(W^H diag((U - V/g^2)^-1, 0) W)
-    / g^2 with the plant's adjoint.  Requires SmTg and UmVg positive definite
-    (see positivity).  Returns (X, Y, rho_xy, (U - V/g^2)^-1).
+    With Xs = (S - T/g^2)^-1 and Yu = (U - V/g^2)^-1, X = W^H diag(0, Xs) W
+    and Y = adj(W^H diag(Yu, 0) W) / g^2 with the plant's adjoint.  Requires
+    SmTg and UmVg positive definite (see positivity).  rho(XY) is 0 on an
+    uncoupled split; otherwise it is taken on the anti-stable block, as
+    rho(Xs F Yu F^T) / g^2 with F = coupling(prep): the nonzero spectrum of
+    XY is that of this n_anti x n_anti product.  Returns
+    (X, Y, rho_xy, (U - V/g^2)^-1).
     """
+    split = prep.split
     n = plant.A.shape[0]
     sd = split.n_stable
     W = split.W
-    UmVg_inv = np.linalg.inv(quad.UmVg)
+    Xs, Yu = np.linalg.inv(quad.SmTg), np.linalg.inv(quad.UmVg)
     Xt = np.zeros((n, n), dtype=W.dtype)
     Yt = np.zeros((n, n), dtype=W.dtype)
-    Xt[sd:, sd:] = np.linalg.inv(quad.SmTg)
-    Yt[:sd, :sd] = UmVg_inv
+    Xt[sd:, sd:] = Xs
+    Yt[:sd, :sd] = Yu
     X = W.conj().T @ Xt @ W
     Y = plant.adjoint(W.conj().T @ Yt @ W) / plant.gamma ** 2
     X, Y = 0.5 * (X + X.conj().T), 0.5 * (Y + Y.conj().T)
-    rho = 0.0 if uncoupled(plant, split) else linalg.spectral_radius(X @ Y)
-    return X, Y, rho, UmVg_inv
+    if uncoupled(plant, split):
+        rho = 0.0
+    else:
+        F = coupling(prep)
+        rho = linalg.spectral_radius(Xs @ F @ Yu @ F.T) / plant.gamma ** 2
+    return X, Y, rho, Yu
+
+
+def coupling(prep: Prepared) -> np.ndarray:
+    """F = W2 JJ^T W1^T, read-only, once per physics: the block through
+    which a HinfPlant's sharp adjoint couples the anti-stable rows W2 of W
+    to the stable rows W1 (see gamma_threshold).  It vanishes when the
+    stable subspace is JJ-invariant, as on the sym family's splits.  Only a
+    coupled split (not uncoupled) has one."""
+    def compute():
+        split = prep.split
+        sd = split.n_stable
+        F = split.W[sd:] @ j_symplectic(prep.plant.n_modes).T @ split.W[:sd].T
+        F.flags.writeable = False
+        return F
+
+    return _once(prep, "coupling", compute)
 
 
 def uncoupled(plant, split: SchurSplit) -> bool:
@@ -371,7 +401,7 @@ def verdict(prep: Prepared, gamma: float) -> Verdict:
     if failure:
         return v
     v.weights = riccati_weights(plant)
-    v.X, v.Y, v.rho_xy, UmVg_inv = assemble_xy(plant, prep.split, quad)
+    v.X, v.Y, v.rho_xy, UmVg_inv = assemble_xy(plant, prep, quad)
     # the one rho(XY) margin: it gates the certificate and the controller
     rho_ok = v.rho_xy < 1.0 - plant.opts.pd_tol
     v.why, v.gates = certify(plant, prep, v.X, v.Y, v.rho_xy, rho_ok,
@@ -452,12 +482,13 @@ def gamma_threshold(prep: Prepared) -> float | None:
 
         L(nu) = [[S - nu^2 T, nu F], [nu F^H, U - nu^2 V]] > 0.
 
-    F = W2 E^H W1^H couples the anti-stable rows W2 of W to the stable rows
-    W1 through the congruence E of the plant's adjoint, adj(M) = E^H M^H E:
-    E = JJ for a HinfPlant.  An uncoupled split has F = 0, and gamma*^2 is
-    the top eigenvalue of the pencil (diag(T, V), diag(S, U)).  Otherwise,
-    with L(0) = diag(S, U) = R R^H and mu = 1/nu, the quadratic eigenproblem
-    mu^2 I + mu K1 + K2, K1 = R^-1 [[0, F], [F^H, 0]] R^-H and
+    F = W2 E^H W1^H (coupling(prep)) couples the anti-stable rows W2 of W to
+    the stable rows W1 through the congruence E of the plant's adjoint,
+    adj(M) = E^H M^H E: E = JJ for a HinfPlant.  An uncoupled split has
+    F = 0, and gamma*^2 is the top eigenvalue of the pencil (diag(T, V),
+    diag(S, U)).  Otherwise, with L(0) = diag(S, U) = R R^H and mu = 1/nu,
+    the quadratic eigenproblem mu^2 I + mu K1 + K2, with
+    K1 = R^-1 [[0, F], [F^H, 0]] R^-H and
     K2 = -R^-1 diag(T, V) R^-H <= 0, is hyperbolic: its 2n eigenvalues are
     real, and gamma* is the largest (0 when none is positive), taken from
     the companion linearization.  It is the boundary of positivity and
@@ -471,9 +502,9 @@ def gamma_threshold(prep: Prepared) -> float | None:
     L2 = sla.block_diag(prep.T, prep.V)
     if uncoupled(plant, split):
         return float(np.sqrt(max(sla.eigvalsh(L2, L0)[-1], 0.0)))
-    na, sd, W = split.n_anti, split.n_stable, split.W
+    na = split.n_anti
     L1 = np.zeros_like(L0)
-    L1[:na, na:] = W[sd:] @ j_symplectic(plant.n_modes).T @ W[:sd].T
+    L1[:na, na:] = coupling(prep)
     L1[na:, :na] = L1[:na, na:].T
     n = L0.shape[0]
     Rinv = sla.solve_triangular(np.linalg.cholesky(L0), np.eye(n), lower=True)

@@ -67,6 +67,13 @@ def crosses(A, B, C, gamma):
     return bool(np.min(np.abs(lam.real)) <= 1e-8 * max(1.0, np.max(np.abs(lam))))
 
 
+def _trsyl(T, Q):
+    """LAPACK trsyl on T P + P T^H = -Q: (P unscaled, scale, info)."""
+    real = np.isrealobj(T) and np.isrealobj(Q)
+    trsyl, = sla.get_lapack_funcs(("trsyl",), (T, Q))
+    return trsyl(T, T, -Q, tranb="T" if real else "C")
+
+
 class TestBasics:
     def test_spectral_radius(self):
         assert spectral_radius(np.diag([1.0, -3.0])) == pytest.approx(3.0)
@@ -171,6 +178,51 @@ class TestLyapunov:
                 P = solve_lyapunov_schur(A, Q)
                 assert np.array_equal(P, solve_lyapunov(A, Q))
                 assert P.dtype == np.result_type(A, Q)
+
+    def test_diagonal_closed_form_matches_trsyl(self, monkeypatch):
+        # a diagonal T (the Hermitian split's blocks) is solved in closed
+        # form, without trsyl; P, and so the residual the gate reads, are
+        # trsyl's to the bit, real and complex, n = 1...40
+        rng = np.random.default_rng(3)
+        cases = []
+        for n in range(1, 41):
+            for kind in ("real", "complex Q", "complex T"):
+                lam = rng.uniform(0.1, 3.0, n) * rng.choice([-1.0, 1.0], n)
+                G = rng.normal(size=(n, n))
+                if kind != "real":
+                    G = G + 1j * rng.normal(size=(n, n))
+                if kind == "complex T":
+                    lam = lam + 1j * rng.normal(size=n)
+                T, Q = np.diag(lam), G @ G.conj().T
+                Pt, scale, info = _trsyl(T, Q)
+                assert info == 0
+                want = Pt / scale
+                cases.append((T, Q, 0.5 * (want + want.conj().T)))
+        monkeypatch.setattr(linalg.sla, "get_lapack_funcs", None)
+        for T, Q, want in cases:
+            got = solve_lyapunov_schur(T, Q)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            resid = [np.linalg.norm(T @ P + P @ T.conj().T + Q)
+                     for P in (got, want)]
+            assert resid[0] == resid[1]
+
+    def test_diagonal_refusal_matches_trsyl(self):
+        # the closed form refuses where trsyl reports info = 1: some
+        # |lambda_i + conj(lambda_j)| <= max(eps max|lambda|, n^2 tiny / eps)
+        eps = np.finfo(float).eps
+        seen = set()
+        for a in (1.0, 3.7, 1e-300):
+            for k in (0.5, 1.0, 2.0, 4.0):
+                lam = np.array([a, -a + k * eps * a])
+                for T in (np.diag(lam), np.diag(lam + 0.5j)):
+                    refused = _trsyl(T, np.eye(2))[2] != 0
+                    seen.add(refused)
+                    if refused:
+                        with pytest.raises(ImaginaryAxisError, match="singular"):
+                            solve_lyapunov_schur(T, np.eye(2))
+                    else:
+                        solve_lyapunov_schur(T, np.eye(2))
+        assert seen == {True, False}
 
     def test_schur_half_refuses_a_full_matrix(self):
         # trsyl reads only the upper (quasi-)triangle; the residual, taken

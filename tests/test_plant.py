@@ -1,11 +1,18 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import on_axis_plants, random_passive_plant, random_sym_plant
+from conftest import (count_calls, on_axis_plants, random_general_plant,
+                      random_mixed_plant, random_passive_plant,
+                      random_sym_plant)
+from qhinf import plant as plant_module
+from qhinf.devices import DpaSpec, build_dpa
 from qhinf.errors import (AssumptionError, DimensionError, StructureError,
                           SynthesisError)
+from qhinf.linalg import ordered_schur_split
 from qhinf.passive import (PassivePlant, passive_gamma_threshold,
                            synthesize_passive)
 from qhinf.plant import Plant, build_plant
@@ -145,3 +152,93 @@ class TestAssumptions:
                 call()
         with pytest.raises(SynthesisError, match="upper bracket"):
             min_certified_gamma(quad, 0.5, 5.0)
+
+
+def _skew_ratio(Ax: np.ndarray) -> float:
+    """||Ax - Ax^T||_F over HinfPlant.split's bound n eps ||Ax||_F."""
+    n, eps = Ax.shape[0], np.finfo(float).eps
+    return float(np.linalg.norm(Ax - Ax.T) / (n * eps * np.linalg.norm(Ax)))
+
+
+class TestSplitSelection:
+    """HinfPlant.split takes the Hermitian split exactly when Ax is
+    symmetric to n eps ||Ax||_F, and the ordered Schur split otherwise."""
+
+    def _split(self, monkeypatch, plant):
+        calls = count_calls(monkeypatch, "hermitian_split", plant_module)
+        schur = count_calls(monkeypatch, "ordered_schur_split", plant_module)
+        split = plant.split()
+        return split, bool(calls), bool(schur)
+
+    def _assert_hermitian(self, monkeypatch, plant):
+        split, hermitian, schur = self._split(monkeypatch, plant)
+        assert hermitian and not schur
+        Ax, n, eps = plant.Ax, plant.Ax.shape[0], np.finfo(float).eps
+        W = split.W
+        assert np.isrealobj(W)
+        assert np.linalg.norm(W @ W.T - np.eye(n)) <= 10 * n * eps
+        for block in (split.A11, split.A22):
+            assert np.array_equal(block, np.diag(np.diag(block)))
+        assert split.A12.shape == (split.n_stable, split.n_anti)
+        assert not split.A12.any()
+        lam = np.r_[np.diag(split.A11), np.diag(split.A22)]
+        assert np.all(lam[:split.n_stable] < 0) and np.all(lam[split.n_stable:] > 0)
+        assert (np.linalg.norm(W @ Ax @ W.T - np.diag(lam))
+                <= n * eps * np.linalg.norm(Ax))
+
+    def _assert_schur(self, monkeypatch, plant):
+        split, hermitian, schur = self._split(monkeypatch, plant)
+        assert schur and not hermitian
+        want = ordered_schur_split(plant.Ax, plant.opts)
+        for name in ("W", "A11", "A12", "A22"):
+            assert np.array_equal(getattr(split, name), getattr(want, name))
+        assert (split.n_stable, split.n_anti, split.min_abs_real) == (
+            want.n_stable, want.n_anti, want.min_abs_real)
+
+    def test_symmetric_plants_take_the_hermitian_split(self, monkeypatch):
+        # an exactly symmetric Ax and one symmetric only to rounding (about
+        # a third of the sym family's draws)
+        rng = np.random.default_rng(4)
+        draws = [random_sym_plant(rng, int(rng.integers(2, 12)))
+                 for _ in range(12)]
+        exact = next(p for p in draws if np.array_equal(p.Ax, p.Ax.T))
+        rounded = next(p for p in draws if not np.array_equal(p.Ax, p.Ax.T))
+        assert 0.0 < _skew_ratio(rounded.Ax) <= 1.0
+        for plant in (exact, rounded, build_dpa(DpaSpec(2.0, 2.5, 1.0))):
+            self._assert_hermitian(monkeypatch, plant)
+
+    def test_other_plants_keep_the_schur_split(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        for plant in (random_general_plant(rng, 3, 1),
+                      random_general_plant(rng, 3, -1),
+                      random_mixed_plant(rng, 3)):
+            assert _skew_ratio(plant.Ax) > 1.0
+            self._assert_schur(monkeypatch, plant)
+
+    def test_skew_part_at_the_bound(self, monkeypatch):
+        # a diagonal Ax plus an off-diagonal skew part, so that the sum is
+        # exact and the skew part's size is set to either side of the bound
+        rng = np.random.default_rng(9)
+        base = copy.copy(random_sym_plant(rng, 2))
+        n = base.Ax.shape[0]
+        D = np.diag(rng.uniform(0.5, 1.5, n) * np.array([-1, 1, -1, 1]))
+        K = np.triu(rng.normal(size=(n, n)), 1)
+        K -= K.T
+        unit = n * np.finfo(float).eps * np.linalg.norm(D) / np.linalg.norm(2 * K)
+        for factor, hermitian in ((1.01, False), (0.99, True)):
+            base.Ax = D + factor * unit * K
+            assert (_skew_ratio(base.Ax) > 1.0) is not hermitian
+            if hermitian:
+                self._assert_hermitian(monkeypatch, base)
+            else:
+                self._assert_schur(monkeypatch, base)
+
+    def test_regime_labels_are_kept(self):
+        # the one-mode sym plant and both DPA cases are labeled
+        # "symmetric-iff"; multi-mode sym plants stay "general"
+        rng = np.random.default_rng(0)
+        for plant in (random_sym_plant(rng, 1, gamma=3.0),
+                      build_dpa(DpaSpec(1.0, 4.0, 1.0, gamma=0.9)),
+                      build_dpa(DpaSpec(2.0, 2.5, 1.0, gamma=1.4))):
+            assert synthesize(plant).regime == "symmetric-iff"
+        assert synthesize(random_sym_plant(rng, 3, gamma=3.0)).regime == "general"

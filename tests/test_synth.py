@@ -418,6 +418,34 @@ class TestAssembly:
         assert np.allclose(J @ res.Z @ J.T, res.Z.T, atol=1e-10)
 
 
+class TestRhoXY:
+    def test_sym_plants_report_no_rounding_noise(self):
+        # a sym plant's stable subspace is JJ-invariant, so the coupling
+        # block F vanishes and rho(XY) = 0 in exact arithmetic; eigvals of
+        # the 2n x 2n product X Y reported rounding noise of up to 7.3e-11
+        # on these draws at gamma*(1 + 1e-6), the anti-stable block form
+        # about eps^2
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            prep = prepare(random_sym_plant(rng, int(rng.integers(1, 41))))
+            v = verdict(prep, gamma_threshold(prep) * (1 + 1e-6))
+            assert v.X is not None and v.rho_xy <= 1e-15
+
+    def test_anti_stable_block_matches_the_full_product(self):
+        # the nonzero spectrum of X Y is that of Xs F Yu F^T / gamma^2
+        rng = np.random.default_rng(13)
+        plants = [random_mixed_plant(rng, int(rng.integers(2, 5)))
+                  for _ in range(10)]
+        plants += [build_dpa(DpaSpec(2.0, 2.5, 1.0)),
+                   build_dpa(DpaSpec(1.0, 1.5, 1.0))]
+        for plant in plants:
+            prep = prepare(plant)
+            v = verdict(prep, 1.3 * gamma_threshold(prep))
+            want = linalg.spectral_radius(v.X @ v.Y)
+            assert want > 1e-6
+            assert abs(v.rho_xy - want) <= 1e-10 * want
+
+
 class TestCertification:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1))
