@@ -16,7 +16,7 @@ import numpy as np
 
 from qhinf.devices import SQRT5_M2, CavitySpec, build_cavity, cavity_pr_gamma
 from qhinf.docio import write_csv
-from qhinf.passive import passive_gamma_threshold, synthesize_passive
+from qhinf.synth import synthesize, threshold
 from qhinf.verify import close_loop
 
 
@@ -27,8 +27,8 @@ def main(out: str | None) -> None:
         g_min = float(np.sqrt(kappa))
         spec = CavitySpec(kappa1=kappa, kappa2=1.0, gamma=g_pr)
         plant = build_cavity(spec)
-        thr = passive_gamma_threshold(plant)
-        res = synthesize_passive(plant)
+        thr = threshold(plant)
+        res = synthesize(plant)
         hinf = close_loop(plant, res.controller).hinf if res.certified else float("nan")
         rows.append([float(kappa), g_min, thr.gamma_star, g_pr, g_pr - g_min,
                      float(res.controller.pr_residual), hinf])

@@ -7,7 +7,9 @@ two isolated gamma values.  Weak-control regime: both pairs are active and
 the binding constraint is the spectral-radius coupling rho(XY) < 1.  The
 script compares the closed-form boundaries against bisection over the
 generic certification and against the gamma* that one quadratic
-eigenproblem predicts (synth.gamma_threshold).
+eigenproblem predicts, and prints the condition synth.threshold finds
+binding there: "performance" in the strong-control regime, "coupling" in
+the weak one.
 
 Usage: python3 scripts/dpa_boundaries.py
 """
@@ -19,8 +21,7 @@ import numpy as np
 from qhinf.devices import (DpaSpec, _dpa_case1_pr_residual, build_dpa,
                            dpa_case2_rho_gamma, dpa_case2_thresholds,
                            dpa_pr_gamma_case1, dpa_pr_gamma_case2)
-from qhinf.synth import (gamma_threshold, min_certified_gamma, prepare,
-                         synthesize)
+from qhinf.synth import min_certified_gamma, synthesize, threshold
 from qhinf.verify import close_loop
 
 
@@ -29,10 +30,11 @@ def case1_study() -> None:
     plant = build_dpa(spec)
     gm, gp = dpa_pr_gamma_case1(spec)
     boundary = min_certified_gamma(plant, 0.3, 2.0, tol=1e-9)
-    predicted = gamma_threshold(prepare(plant))
+    thr = threshold(plant)
     print("strong-control regime (1, 4, 1):")
     print(f"  certification boundary (bisection) : {boundary:.9f}")
-    print(f"  predicted gamma* (eigenproblem)    : {predicted:.9f}")
+    print(f"  predicted gamma* (eigenproblem)    : {thr.gamma_star:.9f}")
+    print(f"  binding condition at gamma*        : {thr.binding}")
     print(f"  realizable-as-is gamma roots       : {gm:.9f}, {gp:.9f}")
     for g in (gm, gp, 0.9):
         res = synthesize(plant.with_gamma(g))
@@ -50,12 +52,14 @@ def case2_study() -> None:
     t_lo, t_hi = dpa_case2_thresholds(spec)
     rho_g = dpa_case2_rho_gamma(spec)
     boundary = min_certified_gamma(plant, 1.0, 2.0, tol=1e-10)
-    predicted = gamma_threshold(prepare(plant))
+    thr = threshold(plant)
+    predicted = thr.gamma_star
     print("\nweak-control regime (2, 2.5, 1):")
     print(f"  positivity thresholds              : {t_lo:.9f}, {t_hi:.9f}")
     print(f"  spectral-radius boundary (closed)  : {rho_g:.9f}")
     print(f"  certification boundary (bisection) : {boundary:.9f}")
     print(f"  predicted gamma* (eigenproblem)    : {predicted:.9f}")
+    print(f"  binding condition at gamma*        : {thr.binding}")
     print(f"  predicted - spectral-radius bound  : {predicted - rho_g:.2e}")
     print(f"  agreement                          : {abs(boundary - max(t_hi, rho_g)):.2e}")
     roots = dpa_pr_gamma_case2(spec)

@@ -9,10 +9,10 @@ from .qls import (SlhModel, StateSpace, build_complex_system,
                   to_quadrature, transfer_matrix)
 from .plant import HinfPlant, build_plant
 from .synth import (Controller, LyapunovQuad, Prepared, SynthesisResult,
-                    build_controller, gamma_threshold, min_certified_gamma,
-                    prepare, synthesize, synthesize_at)
-from .passive import (PassivePlant, PassiveThreshold, build_passive_plant,
-                      passive_gamma_threshold, synthesize_passive)
+                    Threshold, build_controller, gamma_threshold,
+                    min_certified_gamma, prepare, synthesize, synthesize_at,
+                    threshold)
+from .passive import PassivePlant, build_passive_plant
 from .verify import (AttenuationReport, ClosedLoop, OracleResult, are_oracle,
                      attenuation_certificate, close_loop)
 from .devices import (CavitySpec, DpaSpec, build_cavity, build_dpa,
@@ -20,5 +20,10 @@ from .devices import (CavitySpec, DpaSpec, build_cavity, build_dpa,
                       dpa_case2_rho_gamma, dpa_case2_stuv,
                       dpa_case2_thresholds, dpa_pr_gamma_case1,
                       dpa_pr_gamma_case2)
+
+# the benchmark's workloads call these two names; the benchmark change of
+# ROADMAP item 5 drops them
+passive_gamma_threshold = threshold
+synthesize_passive = synthesize
 
 __version__ = "0.1.0"

@@ -176,8 +176,8 @@ def cmd_freqresp(args) -> int:
         D = np.zeros((C.shape[0], B.shape[1]))
     else:
         raise docio.DocumentError("freqresp does not apply to this document kind")
-    if not (args.wmin > 0 and args.wmax > 0):
-        raise ParameterError("--wmin and --wmax must be positive")
+    if not all(0 < w < np.inf for w in (args.wmin, args.wmax)):
+        raise ParameterError("--wmin and --wmax must be positive and finite")
     ws = np.geomspace(args.wmin, args.wmax, _count(args.points, "--points"))
     resp = linalg.Response(A, B, C, D, opts)
     qls.refuse_poles(resp, 1j * ws)
@@ -319,7 +319,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (QhinfError, FileNotFoundError, KeyError) as exc:
+    except (QhinfError, OSError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -10,6 +10,7 @@ a temp file in the same directory, then rename).
 import json
 import os
 import re
+import sys
 import tempfile
 from dataclasses import dataclass, field
 
@@ -46,6 +47,8 @@ def pairs_to_complex(data, where: str = "matrix") -> np.ndarray:
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise DocumentError(
             f"{where}: expected a 2-D matrix of [re, im] pairs, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise DocumentError(f"{where}: entries must be finite")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -176,20 +179,41 @@ def load_document(path: str) -> SystemDocument:
     kind = payload.get("kind")
     if kind not in KINDS:
         raise DocumentError(f"{path}: kind must be one of {KINDS}, got {kind!r}")
+    for name in ("matrices", "params"):
+        if not isinstance(payload.get(name, {}), dict):
+            raise DocumentError(f"{path}: {name} must be an object")
     matrices = {k: pairs_to_complex(v, where=f"{path}: matrices.{k}")
                 for k, v in payload.get("matrices", {}).items()}
     gamma = payload.get("gamma")
-    if gamma is not None and not (isinstance(gamma, (int, float)) and gamma > 0):
-        raise DocumentError(f"{path}: gamma must be a positive number")
+    if gamma is not None and not (_finite_number(gamma) and gamma > 0):
+        raise DocumentError(f"{path}: gamma must be a positive finite number")
     return SystemDocument(kind=kind, matrices=matrices,
                           params=payload.get("params", {}),
                           gamma=gamma, schema_version=version)
+
+
+def _finite_number(x) -> bool:
+    """Whether a JSON value is a number (an int or a float, not a bool) that
+    a finite double can hold."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
 
 
 def _require(doc: SystemDocument, names: tuple, path: str = "document"):
     missing = [n for n in names if n not in doc.matrices]
     if missing:
         raise DocumentError(f"{path}: kind {doc.kind!r} needs matrices {missing}")
+
+
+def _params(doc: SystemDocument, names: tuple, path: str = "document") -> list:
+    """The device parameters names of doc, each present and a finite number."""
+    missing = [n for n in names if n not in doc.params]
+    if missing:
+        raise DocumentError(f"{path}: kind {doc.kind!r} needs params {missing}")
+    bad = [n for n in names if not _finite_number(doc.params[n])]
+    if bad:
+        raise DocumentError(f"{path}: params {bad} must be finite numbers")
+    return [doc.params[n] for n in names]
 
 
 def instantiate(doc: SystemDocument, gamma: float | None = None,
@@ -225,12 +249,10 @@ def instantiate(doc: SystemDocument, gamma: float | None = None,
     # a device document without gamma builds at its spec's default
     spec_gamma = {} if g is None else {"gamma": g}
     if doc.kind == "cavity":
-        p = doc.params
-        return build_cavity(CavitySpec(p["kappa1"], p["kappa2"], **spec_gamma),
-                            opts=opts)
+        return build_cavity(CavitySpec(*_params(doc, ("kappa1", "kappa2")),
+                                       **spec_gamma), opts=opts)
     if doc.kind == "dpa":
-        p = doc.params
-        return build_dpa(DpaSpec(p["kappa_w"], p["kappa_u"], p["epsilon"],
+        return build_dpa(DpaSpec(*_params(doc, ("kappa_w", "kappa_u", "epsilon")),
                                  **spec_gamma), opts=opts)
     if doc.kind == "controller":
         _require(doc, ("AK", "BK", "CK"))

@@ -2,15 +2,15 @@
 
 Thin, checked wrappers around numpy/scipy factorizations plus the solvers
 the pipeline is built on: the stable/anti-stable splits (an ordered real
-Schur form, or an eigendecomposition for a Hermitian matrix), a
-Bartels-Stewart Lyapunov solver in two halves (solve_lyapunov: one Schur
-form, then solve_lyapunov_schur: LAPACK trsyl, or a closed form for a
-diagonal T, O(n^3) together; the pipeline's split blocks are already in
-Schur form and go straight to the second half), Response, the one
-evaluator of the frequency response G(s), and a level-set H-infinity norm
-(a few Hamiltonian eigenvalue tests) that brackets the norm between a gain
-it attains and a bound it proves.  Everything works on complex input; real
-input stays real where the contract promises it.
+Schur form, or an eigendecomposition for a Hermitian matrix), the
+triangular half of a Bartels-Stewart Lyapunov solver (solve_lyapunov_schur:
+LAPACK trsyl, or a closed form for a diagonal T; the split's blocks are
+already in Schur form, so no solve needs a Schur form of its own),
+Response, the one evaluator of the frequency response G(s), and a
+level-set H-infinity norm (a few Hamiltonian eigenvalue tests) that
+brackets the norm between a gain it attains and a bound it proves.
+Everything works on complex input; real input stays real where the
+contract promises it.
 """
 
 from dataclasses import dataclass
@@ -68,29 +68,6 @@ def is_positive_semidefinite(M: np.ndarray, opts: NumericOptions = DEFAULT) -> b
     return bool(np.min(np.linalg.eigvalsh(M)) > -opts.psd_tol * scale)
 
 
-def solve_lyapunov(A: np.ndarray, Q: np.ndarray,
-                   opts: NumericOptions = DEFAULT) -> np.ndarray:
-    """Solve A P + P A^H + Q = 0 for Hermitian P.
-
-    Bartels-Stewart (CACM 15(9), 1972): with the Schur form A = Z T Z^H
-    (real quasi-triangular for real data, complex triangular otherwise),
-    solve_lyapunov_schur solves T Pt + Pt T^H + Z^H Q Z = 0 and P = Z Pt Z^H,
-    symmetrized.  O(n^3) time and O(n^2) memory.  Solvable whenever no pair
-    of eigenvalues satisfies lambda_i + conj(lambda_j) = 0; in the pipeline A
-    is always Hurwitz (or -A is), which guarantees this.
-    """
-    A = _as_square(A, "A")
-    Q = _as_square(Q, "Q")
-    if Q.shape != A.shape:
-        raise DimensionError(f"A is {A.shape}, Q is {Q.shape}")
-    if A.shape[0] == 0:
-        return np.zeros((0, 0))
-    real = np.isrealobj(A) and np.isrealobj(Q)
-    T, Z = sla.schur(A, output="real" if real else "complex")
-    P = Z @ solve_lyapunov_schur(T, Z.conj().T @ Q @ Z, opts) @ Z.conj().T
-    return 0.5 * (P + P.conj().T)
-
-
 # trsyl's machine constants: its precision eps and safe minimum
 _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
@@ -107,12 +84,13 @@ def solve_lyapunov_schur(T: np.ndarray, Q: np.ndarray,
     LAPACK's Schur form (upper triangular, or real quasi-triangular with
     standardized 2x2 blocks), as the blocks of both plants' splits are.
 
-    The triangular half of solve_lyapunov, without its Schur factorization:
-    LAPACK trsyl by back substitution (O(n^3), a fraction of the Schur
-    form's cost), the scale trsyl reports, and symmetrization.  A diagonal
-    T (the Hermitian split's blocks) is solved in closed form,
-    P_ij = -Q_ij / (lambda_i + conj(lambda_j)), which is what trsyl's back
-    substitution computes there, to the bit.  Real data give a real P.
+    The triangular half of Bartels-Stewart (CACM 15(9), 1972), without its
+    Schur factorization: LAPACK trsyl by back substitution (O(n^3), a
+    fraction of the Schur form's cost), the scale trsyl reports, and
+    symmetrization.  A diagonal T (the Hermitian split's blocks) is solved
+    in closed form, P_ij = -Q_ij / (lambda_i + conj(lambda_j)), which is
+    what trsyl's back substitution computes there, to the bit.  Real data
+    give a real P.
     Raises ImaginaryAxisError when the operator is singular in trsyl's test
     (the closed form applies the same one: |lambda_i + conj(lambda_j)|, as
     |Re| + |Im|, at most max(eps max|lambda|, n^2 tiny / eps)) or the

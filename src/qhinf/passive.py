@@ -6,9 +6,9 @@ detuning is rotated away) and the conjugate transpose as the adjoint, so
 its shifted generator Ax = (C1^H C1 - C2^H C2)/2 is Hermitian.  The
 stable/anti-stable split is then linalg.hermitian_split, an
 eigendecomposition, and the adjoint does not couple its blocks
-(couples_blocks is False): rho(XY) = 0 and gamma* is sharp.  Synthesis and
-gamma* are synth's; synthesize_passive and passive_gamma_threshold only
-name them for passive plants.
+(couples_blocks is False): rho(XY) = 0 and gamma* is sharp.  This module
+holds only the plant; synth.synthesize and synth.threshold serve it as they
+serve every plant.
 """
 
 from dataclasses import dataclass
@@ -16,12 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import SynthesisError
 from .linalg import SchurSplit
 from .options import DEFAULT, NumericOptions
 from .plant import Plant
-from .synth import (SynthesisResult, gamma_threshold, positivity, prepare,
-                    synthesize)
 
 
 @dataclass
@@ -66,39 +63,3 @@ def build_passive_plant(C1, C2, D12=None, D21=None, gamma: float = 1.0,
     if D21 is None:
         D21 = np.eye(np.atleast_2d(C2).shape[0])
     return PassivePlant(C1, C2, D12, D21, gamma, opts=opts)
-
-
-def synthesize_passive(plant: PassivePlant) -> SynthesisResult:
-    """synth.synthesize, under the name the passive examples use."""
-    return synthesize(plant)
-
-
-@dataclass
-class PassiveThreshold:
-    """Sharp attenuation threshold for a passive plant.
-
-    Both positivity tests hold exactly above gamma_star.  binding names the
-    block whose difference has the smaller lambda_min at gamma_star:
-    "performance" (S - T/gamma^2) or "measurement" (U - V/gamma^2).
-    """
-    gamma_star: float
-    binding: str
-
-    def __float__(self) -> float:
-        return self.gamma_star
-
-
-def passive_gamma_threshold(plant: PassivePlant) -> PassiveThreshold:
-    """synth.gamma_threshold of the plant and the block that binds there."""
-    prep = prepare(plant)
-    g_star = gamma_threshold(prep)
-    if g_star is None:
-        raise SynthesisError(
-            "degenerate Lyapunov pair: the forced block is not positive "
-            "definite, threshold undefined")
-    if not g_star:   # T = V = 0: no gamma binds
-        return PassiveThreshold(0.0, "performance")
-    quad = prep.at(g_star)[1]
-    lam_x, lam_y = positivity(quad.SmTg, quad.UmVg, plant.opts)[1]
-    return PassiveThreshold(
-        g_star, "measurement" if lam_y < lam_x else "performance")

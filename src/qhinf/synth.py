@@ -29,8 +29,10 @@ side) is computed on first use and shared the same way.
 Positivity of both differences and rho(XY) < 1 hold together exactly while
 one Hermitian matrix, quadratic in nu = 1/gamma, stays positive definite, so
 gamma_threshold predicts gamma* from one quadratic eigenproblem on the
-prepared S, T, U, V.  min_certified_gamma lets that prediction decide the
-midpoints far from it and checks the outcome with verdicts.
+prepared S, T, U, V.  threshold adds the condition that binds at gamma*,
+for every plant: a block's positivity or the coupling rho(XY) = 1.
+min_certified_gamma lets the prediction decide the midpoints far from it
+and checks the outcome with verdicts.
 
 Every stage serves both plant kinds.  A plant supplies its split, Ax, Ay
 and its adjoint, and its class says whether that adjoint couples the split's
@@ -512,6 +514,41 @@ def gamma_threshold(prep: Prepared) -> float | None:
     K2 = -Rinv @ L2 @ Rinv.conj().T
     companion = np.block([[np.zeros((n, n)), np.eye(n)], [-K2, -K1]])
     return float(np.max(np.linalg.eigvals(companion).real, initial=0.0))
+
+
+@dataclass
+class Threshold:
+    """A plant's gamma* and the condition that binds there: "performance"
+    (S - T/gamma^2), "measurement" (U - V/gamma^2) or "coupling"
+    (rho(XY) = 1)."""
+    gamma_star: float
+    binding: str
+
+    def __float__(self) -> float:
+        return self.gamma_star
+
+
+def threshold(plant: Plant) -> Threshold:
+    """gamma_threshold of the plant and the condition that binds there.
+
+    At gamma*, positivity tests both differences.  On a coupled split where
+    both pass, rho(XY) = 1 binds; otherwise the block with the smaller
+    lambda_min does (an empty block's is inf).  Raises SynthesisError for
+    an unforced pair; T = V = 0 gives (0.0, "performance").
+    """
+    prep = prepare(plant)
+    g_star = gamma_threshold(prep)
+    if g_star is None:
+        raise SynthesisError(
+            "degenerate Lyapunov pair: the forced block is not positive "
+            "definite, threshold undefined")
+    if not g_star:   # T = V = 0: no gamma binds
+        return Threshold(0.0, "performance")
+    quad = prep.at(g_star)[1]
+    failure, (lam_x, lam_y) = positivity(quad.SmTg, quad.UmVg, plant.opts)
+    if not (failure or uncoupled(plant, prep.split)):
+        return Threshold(g_star, "coupling")
+    return Threshold(g_star, "measurement" if lam_y < lam_x else "performance")
 
 
 # relative half-width of the band around the predicted gamma* inside which

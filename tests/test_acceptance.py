@@ -19,12 +19,11 @@ from qhinf.devices import (SQRT5_M2, CavitySpec, DpaSpec, build_cavity,
                            dpa_case2_rho_gamma_reference,
                            dpa_case2_thresholds, dpa_pr_gamma_case1,
                            _cavity_pr_residual, _dpa_case1_pr_residual)
-from qhinf.passive import passive_gamma_threshold, synthesize_passive
 from qhinf.qls import (build_complex_system, build_passive_system,
                        check_physical_realizability, flat_adjoint,
                        stability_and_minimality, to_quadrature,
                        transfer_matrix)
-from qhinf.synth import min_certified_gamma, synthesize
+from qhinf.synth import min_certified_gamma, synthesize, threshold
 from qhinf.verify import are_oracle, attenuation_certificate, close_loop
 
 
@@ -40,7 +39,7 @@ def report(n: int, ok: bool, detail: str = "") -> None:
 def test_criterion_1_cavity_golden():
     spec = CavitySpec(kappa1=1.0, kappa2=4.0, gamma=0.6)
     plant = build_cavity(spec)
-    res = synthesize_passive(plant)
+    res = synthesize(plant)
     ref = cavity_reference(spec)
 
     ok_st = (abs(res.quad.S[0, 0].real - 4 / 3) < 1e-12
@@ -49,7 +48,7 @@ def test_criterion_1_cavity_golden():
     lo, hi = 0.1, 1.0
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        if synthesize_passive(plant.with_gamma(mid)).certified:
+        if synthesize(plant.with_gamma(mid)).certified:
             hi = mid
         else:
             lo = mid
@@ -199,7 +198,7 @@ def test_criterion_5_oracle_equivalence():
 # ---------------------------------------------------------------------------
 
 def certified_cases():
-    yield build_cavity(CavitySpec(1.0, 4.0, gamma=0.6)), synthesize_passive
+    yield build_cavity(CavitySpec(1.0, 4.0, gamma=0.6)), synthesize
     yield build_dpa(DpaSpec(1.0, 4.0, 1.0, gamma=0.9)), synthesize
     yield build_dpa(DpaSpec(2.0, 2.5, 1.0, gamma=1.4)), synthesize
     rng = np.random.default_rng(6)
@@ -302,9 +301,9 @@ def test_criterion_8_passive_threshold_two_sided():
     bad = 0
     for _ in range(50):
         plant = random_passive_plant(rng, n=int(rng.integers(1, 4)))
-        gs = float(passive_gamma_threshold(plant))
-        below = synthesize_passive(plant.with_gamma(0.999 * gs))
-        above = synthesize_passive(plant.with_gamma(1.001 * gs))
+        gs = float(threshold(plant))
+        below = synthesize(plant.with_gamma(0.999 * gs))
+        above = synthesize(plant.with_gamma(1.001 * gs))
         if below.certified or not above.certified:
             bad += 1
     ok = bad == 0

@@ -11,8 +11,7 @@ from qhinf.devices import (SQRT5_M2, CavitySpec, DpaSpec, build_cavity,
                            dpa_pr_gamma_case2, _cavity_pr_residual,
                            _dpa_case1_pr_residual)
 from qhinf.errors import StructureError
-from qhinf.passive import passive_gamma_threshold, synthesize_passive
-from qhinf.synth import min_certified_gamma, synthesize
+from qhinf.synth import min_certified_gamma, synthesize, threshold
 from qhinf.verify import are_oracle
 
 
@@ -26,7 +25,7 @@ class TestCavity:
 
     def test_pipeline_matches_reference(self):
         spec = CavitySpec(1.0, 4.0, gamma=0.6)
-        res = synthesize_passive(build_cavity(spec))
+        res = synthesize(build_cavity(spec))
         ref = cavity_reference(spec)
         assert res.certified
         assert res.quad.S[0, 0].real == pytest.approx(ref["S"], rel=1e-12)
@@ -37,7 +36,7 @@ class TestCavity:
         assert res.controller.CK[0, 0].real == pytest.approx(ref["CK"], rel=1e-12)
 
     def test_threshold(self):
-        thr = passive_gamma_threshold(build_cavity(CavitySpec(1.0, 4.0)))
+        thr = threshold(build_cavity(CavitySpec(1.0, 4.0)))
         assert float(thr) == pytest.approx(0.5, abs=1e-12)
 
     def test_pr_gamma_branch_point(self):

@@ -368,6 +368,8 @@ class TestCli:
         ["verify", "{ctl}", "{ctl}"],
         # the Riccati oracle serves quadrature plants only
         ["synthesize", "{cavity}", "--method", "oracle"],
+        # an infinite band has no log-spaced grid
+        ["freqresp", "{dpa}", "--wmax", "inf"],
     ])
     def test_invalid_input_exit_one(self, argv, tmp_path, capsys):
         spec = devices.DpaSpec(2.0, 4.0, 1.0, 1.5)
@@ -388,4 +390,41 @@ class TestCli:
         save_document(SystemDocument("controller", {
             "AK": -np.eye(3), "BK": ctl.BK, "CK": ctl.CK}), paths["ctl3"])
         assert main([a.format(**paths) for a in argv]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    DPA = {"kappa_w": 2.0, "kappa_u": 4.0, "epsilon": 1.0}
+
+    @pytest.mark.parametrize("change", [
+        {"params": [2.0, 4.0, 1.0]},
+        {"params": {**DPA, "kappa_w": "a"}},
+        {"params": {**DPA, "kappa_w": True}},
+        {"params": {**DPA, "kappa_u": float("inf")}},
+        {"params": {**DPA, "kappa_u": 10**400}},   # no double holds it
+        {"matrices": []},
+        {"Hmat": float("nan")},
+        {"C1": float("inf")},
+        {"gamma": True},
+        {"gamma": 10**400},
+        "directory",
+    ])
+    def test_malformed_document_exit_one(self, change, rng, tmp_path, capsys):
+        # a malformed document is refused with "error: ..." and exit 1,
+        # never a traceback or a synthesis at a value it does not state
+        path = tmp_path / "doc.json"
+        if change == "directory":
+            path.mkdir()
+        elif change.keys() & {"matrices", "Hmat", "C1"}:
+            # a plant document with one entry or the matrices replaced
+            doc = json.loads(document_for(random_sym_plant(rng)).to_json())
+            for name, value in change.items():
+                if name == "matrices":
+                    doc[name] = value
+                else:
+                    doc["matrices"][name][0][0][0] = value
+            path.write_text(json.dumps(doc))
+        else:
+            path.write_text(json.dumps(
+                {"schema_version": "1", "kind": "dpa", "matrices": {},
+                 "params": self.DPA, "gamma": 1.5, **change}))
+        assert main(["synthesize", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error:")

@@ -14,8 +14,7 @@ from qhinf.linalg import (hinf_bracket, hinf_norm,
                           is_hurwitz, is_positive_semidefinite,
                           max_singular_value,
                           min_singular_value, ordered_schur_split,
-                          solve_lyapunov, solve_lyapunov_schur,
-                          spectral_radius)
+                          solve_lyapunov_schur, spectral_radius)
 from qhinf.options import DEFAULT
 from qhinf.synth import synthesize
 from qhinf.verify import close_loop
@@ -55,6 +54,21 @@ def hinf_norm_grid(A, B, C, D, opts=DEFAULT) -> tuple[float, float]:
     if g[i] > best:
         return float(g[i]), float(w[i])
     return best, np.inf
+
+
+def solve_lyapunov(A, Q, opts=DEFAULT) -> np.ndarray:
+    """Solve A P + P A^H + Q = 0 for Hermitian P: the full Bartels-Stewart
+    solver (CACM 15(9), 1972), a reference for solve_lyapunov_schur.
+
+    With the Schur form A = Z T Z^H (real quasi-triangular for real data,
+    complex triangular otherwise), solve_lyapunov_schur solves
+    T Pt + Pt T^H + Z^H Q Z = 0 and P = Z Pt Z^H, symmetrized.
+    """
+    A, Q = np.asarray(A), np.asarray(Q)
+    real = np.isrealobj(A) and np.isrealobj(Q)
+    T, Z = sla.schur(A, output="real" if real else "complex")
+    P = Z @ solve_lyapunov_schur(T, Z.conj().T @ Q @ Z, opts) @ Z.conj().T
+    return 0.5 * (P + P.conj().T)
 
 
 def crosses(A, B, C, gamma):

@@ -70,7 +70,7 @@ PLANT_STAGES = [
     synth.assemble_xy, synth.riccati_residuals, synth.certify,
     synth.build_controller, synth.synthesize, synth.gamma_threshold,
     synth.min_certified_gamma, synth.uncoupled, synth.coupling,
-    passive.synthesize_passive, passive.passive_gamma_threshold,
+    synth.threshold,
     verify.are_oracle, verify.close_loop, verify.attenuation_certificate,
     report.synthesis_report,
 ]

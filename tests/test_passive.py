@@ -6,10 +6,9 @@ from hypothesis import strategies as st
 from conftest import random_passive_plant
 from qhinf.errors import StructureError
 from qhinf.linalg import is_hurwitz
-from qhinf.passive import (PassivePlant, build_passive_plant,
-                           passive_gamma_threshold, synthesize_passive)
+from qhinf.passive import PassivePlant, build_passive_plant
 from qhinf.plant import build_plant
-from qhinf.synth import synthesize
+from qhinf.synth import synthesize, threshold
 from qhinf.verify import attenuation_certificate, close_loop
 
 
@@ -38,8 +37,8 @@ class TestSynthesis:
     def test_complementary_supports(self, seed):
         rng = np.random.default_rng(seed)
         plant = random_passive_plant(rng)
-        thr = passive_gamma_threshold(plant)
-        res = synthesize_passive(plant.with_gamma(1.05 * float(thr)))
+        thr = threshold(plant)
+        res = synthesize(plant.with_gamma(1.05 * float(thr)))
         assert res.certified
         # X lives on the anti-stable eigenspace, Y on the stable one
         assert res.rho_xy == pytest.approx(0.0, abs=1e-10)
@@ -53,23 +52,23 @@ class TestSynthesis:
     def test_threshold_two_sided(self, seed):
         rng = np.random.default_rng(seed)
         plant = random_passive_plant(rng)
-        gs = float(passive_gamma_threshold(plant))
-        assert not synthesize_passive(plant.with_gamma(0.999 * gs)).certified
-        assert synthesize_passive(plant.with_gamma(1.001 * gs)).certified
+        gs = float(threshold(plant))
+        assert not synthesize(plant.with_gamma(0.999 * gs)).certified
+        assert synthesize(plant.with_gamma(1.001 * gs)).certified
 
     def test_failure_names_condition(self, rng):
         plant = random_passive_plant(rng)
-        gs = float(passive_gamma_threshold(plant))
-        res = synthesize_passive(plant.with_gamma(0.5 * gs))
+        gs = float(threshold(plant))
+        res = synthesize(plant.with_gamma(0.5 * gs))
         assert not res.certified
         assert "not positive definite" in res.failure
         assert res.controller is None
 
     def test_controller_closed_loop(self, rng):
         plant = random_passive_plant(rng)
-        gs = float(passive_gamma_threshold(plant))
+        gs = float(threshold(plant))
         p = plant.with_gamma(1.1 * gs)
-        res = synthesize_passive(p)
+        res = synthesize(p)
         ctl = res.controller
         assert np.allclose(ctl.BKtilde, -ctl.CK.conj().T)
         assert np.allclose(ctl.CKtilde, -ctl.BK.conj().T)
@@ -91,7 +90,7 @@ class TestSharedPath:
         seen = set()
         for _ in range(4):
             plant = random_passive_plant(rng, int(rng.integers(1, 4)))
-            gs = passive_gamma_threshold(plant).gamma_star
+            gs = threshold(plant).gamma_star
             for f in (0.5, 0.999, 1 + 1e-10, 1.001, 2.0):
                 res = synthesize(plant.with_gamma(f * gs))
                 seen.add((res.certified, res.X is None))
@@ -106,9 +105,9 @@ class TestAgainstQuadraturePipeline:
         # pipeline as a doubled real model; thresholds must agree
         c1, c2 = 2.0, 1.0
         p = build_passive_plant([[np.sqrt(c1)]], [[np.sqrt(c2)]], gamma=0.9)
-        gs = float(passive_gamma_threshold(p))
+        gs = float(threshold(p))
         quad = build_plant(np.zeros((2, 2)), np.sqrt(c1) * np.eye(2),
                            np.sqrt(c2) * np.eye(2), np.eye(2), np.eye(2), 0.9)
         for g, expect in [(0.99 * gs, False), (1.01 * gs, True)]:
             assert synthesize(quad.with_gamma(g)).certified is expect
-            assert synthesize_passive(p.with_gamma(g)).certified is expect
+            assert synthesize(p.with_gamma(g)).certified is expect

@@ -13,11 +13,10 @@ from qhinf.devices import DpaSpec, build_dpa
 from qhinf.errors import (AssumptionError, DimensionError, StructureError,
                           SynthesisError)
 from qhinf.linalg import ordered_schur_split
-from qhinf.passive import (PassivePlant, passive_gamma_threshold,
-                           synthesize_passive)
+from qhinf.passive import PassivePlant
 from qhinf.plant import Plant, build_plant
 from qhinf.qls import j_symplectic, sharp_adjoint
-from qhinf.synth import min_certified_gamma, synthesize
+from qhinf.synth import min_certified_gamma, synthesize, threshold
 
 
 def simple_plant(gamma=1.5):
@@ -51,7 +50,7 @@ class TestConstruction:
         cases = [(sym, build_plant(sym.Hmat, sym.C1, sym.C2, sym.D12,
                                    sym.D21, 2.5), synthesize),
                  (pas, PassivePlant(pas.C1, pas.C2, pas.D12, pas.D21, 2.5),
-                  synthesize_passive)]
+                  synthesize)]
         for p, fresh, synth in cases:
             q = p.with_gamma(2.5)
             assert q.A is p.A and q.Ax is p.Ax and q.Ay is p.Ay
@@ -146,8 +145,8 @@ class TestAssumptions:
 
     def test_pipeline_refuses_on_axis(self):
         quad, pas = on_axis_plants()
-        for call in (lambda: synthesize(quad), lambda: synthesize_passive(pas),
-                     lambda: passive_gamma_threshold(pas)):
+        for call in (lambda: synthesize(quad), lambda: synthesize(pas),
+                     lambda: threshold(pas)):
             with pytest.raises(AssumptionError, match=r"min \|Re lambda\| = "):
                 call()
         with pytest.raises(SynthesisError, match="upper bracket"):

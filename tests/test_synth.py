@@ -11,19 +11,19 @@ from hypothesis import strategies as st
 from conftest import (count_calls, on_axis_plants, random_general_plant,
                       random_mixed_plant, random_passive_plant,
                       random_sym_plant)
+import qhinf
 from qhinf import linalg, synth
 from qhinf.cli import PROFILES
 from qhinf.devices import (CavitySpec, DpaSpec, build_cavity, build_dpa,
-                           cavity_reference)
+                           cavity_reference, dpa_case2_rho_gamma)
 from qhinf.errors import AssumptionError, OracleError, SynthesisError
 from qhinf.linalg import is_hurwitz
-from qhinf.passive import (PassivePlant, build_passive_plant,
-                           passive_gamma_threshold, synthesize_passive)
+from qhinf.passive import PassivePlant, build_passive_plant
 from qhinf.plant import HinfPlant, build_plant
 from qhinf.qls import j_symplectic, sharp_adjoint
 from qhinf.synth import (PREDICTION_BAND, gamma_threshold, min_certified_gamma,
                          positivity, prepare, solve_quad, synthesize,
-                         synthesize_at, verdict)
+                         synthesize_at, threshold, verdict)
 from qhinf.verify import are_oracle, attenuation_certificate, close_loop
 
 
@@ -61,7 +61,7 @@ def _prepared_plants():
         yield plant, [0.5, 1.5, 5.0]
     for plant in (random_passive_plant(rng, 2), random_passive_plant(rng, 4),
                   build_cavity(CavitySpec(1.0, 4.0))):
-        g = passive_gamma_threshold(plant).gamma_star
+        g = threshold(plant).gamma_star
         yield plant, [0.5 * g, g * (1 - 1e-6), g * (1 + 1e-6), 1.5 * g]
 
 
@@ -218,7 +218,7 @@ class TestPrepareReuse:
             res.schur.W = np.eye(4)
         again = synthesize(plant.with_gamma(4.0))
         assert again.schur is res.schur and again.quad.S is res.quad.S
-        passive = synthesize_passive(random_passive_plant(
+        passive = synthesize(random_passive_plant(
             np.random.default_rng(53), 2))
         with pytest.raises(ValueError, match="read-only"):
             passive.quad.S[0, 0] = 1.0
@@ -330,7 +330,7 @@ class TestGammaThreshold:
         for n in (1, 2, 3, 4, 6, 2, 3, 4):
             plant = random_passive_plant(rng, n)
             want, binding = two_pencils(prepare(plant))
-            thr = passive_gamma_threshold(plant)
+            thr = threshold(plant)
             assert thr.gamma_star == pytest.approx(want, rel=1e-12)
             assert gamma_threshold(prepare(plant)) == thr.gamma_star
             assert thr.binding == binding
@@ -385,6 +385,94 @@ class TestGammaThreshold:
             calls.clear()
             assert min_certified_gamma(plant, 0.1, 10.0) == want
             assert len(calls) <= 5
+
+
+def _block_rule(plant):
+    """The passive-only threshold rule: gamma_threshold, and the block with
+    the smaller lambda_min at gamma* binds."""
+    prep = prepare(plant)
+    g = gamma_threshold(prep)
+    quad = prep.at(g)[1]
+    lam_x, lam_y = positivity(quad.SmTg, quad.UmVg, plant.opts)[1]
+    return g, "measurement" if lam_y < lam_x else "performance"
+
+
+def _null_vector_binding(plant):
+    """The binding read from the unit null vector v = (v1, v2) of
+    L(nu*) = [[S - nu^2 T, nu F], [nu F^H, U - nu^2 V]]: "measurement" when
+    v1 vanishes, "performance" when v2 does, "coupling" otherwise."""
+    prep = prepare(plant)
+    nu, na = 1.0 / gamma_threshold(prep), prep.split.n_anti
+    F = (np.zeros((na, prep.split.n_stable))
+         if synth.uncoupled(plant, prep.split) else synth.coupling(prep))
+    L = np.block([[prep.S - nu**2 * prep.T, nu * F],
+                  [nu * F.conj().T, prep.U - nu**2 * prep.V]])
+    v = np.linalg.eigh(L)[1][:, 0]
+    if np.linalg.norm(v[:na]) <= 1e-9:
+        return "measurement"
+    return "performance" if np.linalg.norm(v[na:]) <= 1e-9 else "coupling"
+
+
+class TestThreshold:
+    def test_passive_keeps_the_block_rule(self):
+        rng = np.random.default_rng(3)
+        plants = [random_passive_plant(rng, int(rng.integers(1, 7)))
+                  for _ in range(40)]
+        rng = np.random.default_rng(8)
+        plants += [build_cavity(CavitySpec(*map(float, np.sort(
+            rng.uniform(0.1, 5.0, 2))))) for _ in range(10)]
+        bindings = set()
+        for plant in plants:
+            thr = threshold(plant)
+            assert (thr.gamma_star, thr.binding) == _block_rule(plant)
+            bindings.add(thr.binding)
+        assert bindings == {"performance", "measurement"}
+
+    def test_binding_matches_null_vector(self):
+        rng = np.random.default_rng(3)
+        plants = [random_sym_plant(rng, int(rng.integers(1, 13)))
+                  for _ in range(30)]
+        plants += [random_general_plant(rng, int(rng.integers(1, 6)), side)
+                   for side in (1, -1) for _ in range(15)]
+        plants += list(_dpa_plants(rng, 3))
+        bindings = set()
+        for plant in plants:
+            thr = threshold(plant)
+            assert thr.gamma_star == gamma_threshold(prepare(plant))
+            assert thr.binding == _null_vector_binding(plant)
+            bindings.add(thr.binding)
+        assert bindings == {"performance", "measurement", "coupling"}
+
+    def test_dpa_case2_is_bound_by_the_coupling(self):
+        for spec in (DpaSpec(2.0, 2.5, 1.0), DpaSpec(1.0, 1.5, 1.0),
+                     DpaSpec(1.5, 2.0, 1.2)):
+            assert spec.case == "case2"
+            thr = threshold(build_dpa(spec))
+            assert thr.binding == "coupling"
+            assert thr.gamma_star == pytest.approx(dpa_case2_rho_gamma(spec),
+                                                   rel=1e-12)
+        for spec in (DpaSpec(1.0, 4.0, 1.0), DpaSpec(0.5, 3.0, 1.0)):
+            assert spec.case == "case1"
+            assert threshold(build_dpa(spec)).binding == "performance"
+
+    def test_edge_cases(self, monkeypatch):
+        # disjoint couplings: B1 vanishes on the anti-stable mode and B2 on
+        # the stable one, so T = V = 0 and no gamma binds
+        plant = build_passive_plant([[1.0, 0.0]], [[0.0, 1.5]])
+        thr = threshold(plant)
+        assert (thr.gamma_star, thr.binding, float(thr)) == (
+            0.0, "performance", 0.0)
+        # a singular S leaves its pair unforced: no threshold
+        prep = prepare(random_sym_plant(np.random.default_rng(43), 2))
+        S = prep.S - np.linalg.eigvalsh(prep.S)[0] * np.eye(len(prep.S))
+        monkeypatch.setattr(synth, "prepare",
+                            lambda p: dataclasses.replace(prep, S=S))
+        with pytest.raises(SynthesisError, match="threshold undefined"):
+            threshold(prep.plant)
+
+    def test_benchmark_names_are_the_synth_objects(self):
+        assert qhinf.passive_gamma_threshold is synth.threshold
+        assert qhinf.synthesize_passive is synth.synthesize
 
 
 class TestAssembly:

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from conftest import random_passive_plant, random_sym_plant
 from qhinf.errors import DimensionError, OracleError
 from qhinf.linalg import Response, is_hurwitz
-from qhinf.passive import passive_gamma_threshold, synthesize_passive
 from qhinf.plant import build_plant
-from qhinf.synth import min_certified_gamma, synthesize
+from qhinf.synth import min_certified_gamma, synthesize, threshold
 from qhinf.verify import (are_oracle, attenuation_certificate,
                           bounded_real_witness, close_loop,
                           _stabilizing_riccati)
@@ -130,14 +129,12 @@ def synthesized_loops(maker, seed, factors, draws=40):
     for i in range(draws):
         plant = maker(rng, 1 + i % 4)
         if maker is random_passive_plant:
-            route = synthesize_passive
-            g = passive_gamma_threshold(plant).gamma_star
+            g = threshold(plant).gamma_star
         else:
-            route = synthesize
             g = min_certified_gamma(plant, 1e-3, 50.0, tol=1e-10)
         for f in factors:
             at = plant.with_gamma(g * f)
-            res = route(at)
+            res = synthesize(at)
             assert res.certified
             yield close_loop(at, res.controller)
 
@@ -236,7 +233,7 @@ def test_high_gain_loop_is_not_certified():
     # misses gamma, yet the certificate proves upper = gamma (1 - 4.68e-11)
     rng = np.random.default_rng(5)
     plant = random_passive_plant(rng, int(rng.integers(1, 4)))
-    at = plant.with_gamma(passive_gamma_threshold(plant).gamma_star
+    at = plant.with_gamma(threshold(plant).gamma_star
                           * (1 + 1e-6))
     res = synthesize(at)
     assert res.certified
