@@ -6,8 +6,8 @@ Lyapunov pair is active, Y = 0, and the controller is realizable exactly at
 two isolated gamma values.  Weak-control regime: both pairs are active and
 the binding constraint is the spectral-radius coupling rho(XY) < 1.  The
 script compares the closed-form boundaries against bisection over the
-generic certification and against the gamma* that one quadratic
-eigenproblem predicts, and prints the condition synth.threshold finds
+generic certification and against the gamma* that one Hermitian
+eigenvalue problem predicts, and prints the condition synth.threshold finds
 binding there: "performance" in the strong-control regime, "coupling" in
 the weak one.
 

@@ -126,6 +126,10 @@ def cmd_verify(args) -> int:
     if kdoc.kind != "controller":
         raise docio.DocumentError("second argument must be a controller document")
     mats = docio.instantiate(kdoc)
+    if isinstance(plant, HinfPlant):
+        # a quadrature loop stays real, so its norm and witness do too
+        mats = {k: docio.require_real(M, f"controller {k}")
+                for k, M in mats.items()}
     K = Controller(mats["AK"], mats["BK"], mats["CK"],
                    BKtilde=None, CKtilde=None, pr_residual=float("nan"),
                    needs_augmentation=False)

@@ -52,7 +52,10 @@ def pairs_to_complex(data, where: str = "matrix") -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def _realify_doc(M: np.ndarray, where: str) -> np.ndarray:
+def require_real(M: np.ndarray, where: str) -> np.ndarray:
+    """The real part of a document matrix that must be real (a quadrature
+    plant's, or a controller closed around one); raises DocumentError when
+    any imaginary part is nonzero."""
     if np.max(np.abs(M.imag), initial=0.0) > 0:
         raise DocumentError(f"{where}: must be real (all imaginary parts zero)")
     return M.real
@@ -234,11 +237,11 @@ def instantiate(doc: SystemDocument, gamma: float | None = None,
         m = doc.matrices
         if g is None:
             raise DocumentError("plant document needs gamma")
-        return build_plant(_realify_doc(m["Hmat"], "Hmat"),
-                           _realify_doc(m["C1"], "C1"),
-                           _realify_doc(m["C2"], "C2"),
-                           _realify_doc(m["D12"], "D12"),
-                           _realify_doc(m["D21"], "D21"), g, opts=opts)
+        return build_plant(require_real(m["Hmat"], "Hmat"),
+                           require_real(m["C1"], "C1"),
+                           require_real(m["C2"], "C2"),
+                           require_real(m["D12"], "D12"),
+                           require_real(m["D21"], "D21"), g, opts=opts)
     if doc.kind == "passive_plant":
         _require(doc, ("C1", "C2"))
         m = doc.matrices

@@ -28,11 +28,11 @@ side) is computed on first use and shared the same way.
 
 Positivity of both differences and rho(XY) < 1 hold together exactly while
 one Hermitian matrix, quadratic in nu = 1/gamma, stays positive definite, so
-gamma_threshold predicts gamma* from one quadratic eigenproblem on the
+gamma_threshold predicts gamma* from one Hermitian eigenvalue problem on the
 prepared S, T, U, V.  threshold adds the condition that binds at gamma*,
 for every plant: a block's positivity or the coupling rho(XY) = 1.
 min_certified_gamma lets the prediction decide the midpoints far from it
-and checks the outcome with verdicts.
+and proves the outcome with two verdicts, one at each final end.
 
 Every stage serves both plant kinds.  A plant supplies its split, Ax, Ay
 and its adjoint, and its class says whether that adjoint couples the split's
@@ -476,8 +476,9 @@ def synthesize(plant: Plant) -> SynthesisResult:
 
 
 def gamma_threshold(prep: Prepared) -> float | None:
-    """The predicted gamma* of a prepared plant from one eigenvalue solve, or
-    None when S or U is not positive definite (an unforced pair).
+    """The predicted gamma* of a prepared plant from one Hermitian
+    eigenvalue solve, or None when S or U is not positive definite (an
+    unforced pair).
 
     With nu = 1/gamma, by a Schur complement the positivity of S - nu^2 T
     and U - nu^2 V and rho(XY) < 1 hold together exactly when
@@ -489,31 +490,53 @@ def gamma_threshold(prep: Prepared) -> float | None:
     adj(M) = E^H M^H E: E = JJ for a HinfPlant.  An uncoupled split has
     F = 0, and gamma*^2 is the top eigenvalue of the pencil (diag(T, V),
     diag(S, U)).  Otherwise, with L(0) = diag(S, U) = R R^H and mu = 1/nu,
-    the quadratic eigenproblem mu^2 I + mu K1 + K2, with
-    K1 = R^-1 [[0, F], [F^H, 0]] R^-H and
-    K2 = -R^-1 diag(T, V) R^-H <= 0, is hyperbolic: its 2n eigenvalues are
-    real, and gamma* is the largest (0 when none is positive), taken from
-    the companion linearization.  It is the boundary of positivity and
-    rho(XY) < 1 alone; verdict's pd_tol margins and loop Hurwitz gates move
-    the certified boundary slightly above it.
+    gamma* is the largest real mu with det(mu^2 I + mu K1 - G G^H) = 0 (0
+    when none is positive), where K1 = R^-1 [[0, F], [F^H, 0]] R^-H and
+    G = R^-1 diag(T^1/2, V^1/2), so that G G^H = R^-1 diag(T, V) R^-H.
+    This quadratic eigenproblem is hyperbolic, and for mu != 0 it is
+    (mu^2 I + mu K1 - G G^H) x = 0 exactly when
+
+        H [x; G^H x/mu] = mu [x; G^H x/mu],   H = [[-K1, G], [G^H, 0]],
+
+    so gamma* = max(lambda_max(H), 0) from one eigvalsh of the Hermitian
+    2n x 2n H.  T^1/2 and V^1/2 are square-root factors from one eigh per
+    block, with rounding-negative eigenvalues clipped at 0.  gamma* is the
+    boundary of positivity and rho(XY) < 1 alone; verdict's pd_tol margins
+    and loop Hurwitz gates move the certified boundary slightly above it.
     """
     plant, split = prep.plant, prep.split
-    if positivity(prep.S, prep.U, plant.opts)[0]:
+    S, T, U, V = prep.S, prep.T, prep.U, prep.V
+    if positivity(S, U, plant.opts)[0]:
         return None
-    L0 = sla.block_diag(prep.S, prep.U)
-    L2 = sla.block_diag(prep.T, prep.V)
-    if uncoupled(plant, split):
-        return float(np.sqrt(max(sla.eigvalsh(L2, L0)[-1], 0.0)))
     na = split.n_anti
-    L1 = np.zeros_like(L0)
-    L1[:na, na:] = coupling(prep)
-    L1[na:, :na] = L1[:na, na:].T
-    n = L0.shape[0]
-    Rinv = sla.solve_triangular(np.linalg.cholesky(L0), np.eye(n), lower=True)
-    K1 = Rinv @ L1 @ Rinv.conj().T
-    K2 = -Rinv @ L2 @ Rinv.conj().T
-    companion = np.block([[np.zeros((n, n)), np.eye(n)], [-K2, -K1]])
-    return float(np.max(np.linalg.eigvals(companion).real, initial=0.0))
+    n = na + split.n_stable
+    if uncoupled(plant, split):
+        dtype = np.result_type(S, T, U, V)
+        L0, L2 = np.zeros((n, n), dtype), np.zeros((n, n), dtype)
+        L0[:na, :na], L0[na:, na:] = S, U
+        L2[:na, :na], L2[na:, na:] = T, V
+        return float(np.sqrt(max(sla.eigvalsh(L2, L0)[-1], 0.0)))
+
+    def inv_chol(P):
+        return sla.solve_triangular(np.linalg.cholesky(P), np.eye(len(P)),
+                                    lower=True)
+
+    def sqrt_factor(P):
+        w, Q = np.linalg.eigh(P)
+        return Q * np.sqrt(np.maximum(w, 0.0))
+
+    # H in the order (x_anti, x_stable, y_anti, y_stable): -K1 has the one
+    # off-diagonal block -Rs^-1 F Ru^-H, and G the diagonal blocks
+    # Rs^-1 T^1/2 and Ru^-1 V^1/2
+    Rs_inv, Ru_inv = inv_chol(S), inv_chol(U)
+    C = -Rs_inv @ coupling(prep) @ Ru_inv.conj().T
+    H = np.zeros((2 * n, 2 * n), np.result_type(C, T, V))
+    H[:na, na:n] = C
+    H[na:n, :na] = C.conj().T
+    H[:na, n:n + na] = Rs_inv @ sqrt_factor(T)
+    H[na:n, n + na:] = Ru_inv @ sqrt_factor(V)
+    H[n:, :n] = H[:n, n:].conj().T
+    return max(float(np.linalg.eigvalsh(H)[-1]), 0.0)
 
 
 @dataclass
@@ -581,14 +604,20 @@ def min_certified_gamma(plant: Plant, lo: float, hi: float,
 
     gamma_threshold predicts the boundary, so a midpoint more than
     PREDICTION_BAND (relative) away from it is decided by the prediction and
-    one inside the band by a verdict.  Verdicts must then certify the final
-    hi and refuse the final lo.  Where certification is monotone in gamma,
-    as bisection assumes, that proves every predicted decision right, so the
-    result is the double a bisection on verdicts alone returns.  Just above
-    gamma* it is not: the loop Hurwitz gates refuse in windows there (up to
-    ~2e-9 relative on one-sided general plants), which lie inside the band,
-    where every midpoint gets its verdict.  Without a prediction, or when an
-    end check fails, the plain bisection runs.
+    one inside the band by a verdict.  When the prediction lies inside
+    (lo, hi), that bisection runs first, and verdicts must then certify its
+    final hi and refuse its final lo: two verdicts prove the answer, and
+    the bracket ends get none.  Where certification is monotone in gamma
+    between the bracket ends and those final ends, as bisection assumes,
+    that proves every predicted decision right, and lo refuses and hi
+    certifies as well, so the result is the double a bisection on verdicts
+    alone returns.  Just above gamma* it is not monotone: the loop Hurwitz
+    gates refuse in windows there (up to ~2e-9 relative on one-sided
+    general plants), which lie inside the band, where every midpoint gets
+    its verdict.  Otherwise (no prediction, a prediction outside (lo, hi)
+    or a failed end check) the bracket ends get their verdicts first, then
+    the predicted bisection with its end checks and, if those fail, the
+    plain bisection on verdicts.
 
     The answer lies in the band just above the threshold where a certified
     controller can still miss gamma: at gamma*(1 + 1e-6), 20 sym and
@@ -610,18 +639,27 @@ def min_certified_gamma(plant: Plant, lo: float, hi: float,
                 decided[g] = False
         return decided[g]
 
-    if not ok(hi):
-        raise SynthesisError(f"upper bracket gamma = {hi} does not certify")
-    if ok(lo):
-        return lo
-    g_star = gamma_threshold(prep)
-    if g_star is not None:
+    g_star = None if prep is None else gamma_threshold(prep)
+
+    def by_prediction() -> float | None:
+        """The predicted bisection's final hi, when verdicts certify it and
+        refuse its final lo; else None."""
         def predicted(g: float) -> bool:
             if abs(g - g_star) <= PREDICTION_BAND * g_star:
                 return ok(g)
             return g > g_star
 
         p_lo, p_hi = _bisect(predicted, lo, hi, tol)
-        if ok(p_hi) and not ok(p_lo):
-            return p_hi
-    return _bisect(ok, lo, hi, tol)[1]
+        return p_hi if ok(p_hi) and not ok(p_lo) else None
+
+    if g_star is not None and lo < g_star < hi:
+        answer = by_prediction()
+        if answer is not None:
+            return answer
+    if not ok(hi):
+        raise SynthesisError(f"upper bracket gamma = {hi} does not certify")
+    if ok(lo):
+        return lo
+    # a repeat of the predicted bisection reuses the verdicts decided above
+    answer = None if g_star is None else by_prediction()
+    return answer if answer is not None else _bisect(ok, lo, hi, tol)[1]

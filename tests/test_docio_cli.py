@@ -6,7 +6,7 @@ import pytest
 
 from conftest import (count_calls, on_axis_plants, random_passive_plant,
                       random_slh_model, random_sym_plant)
-from qhinf import devices, qls
+from qhinf import cli, devices, qls
 from qhinf.cli import PROFILES, main, make_parser
 from qhinf.docio import (DocumentError, SystemDocument, atomic_write_text,
                          complex_to_pairs, csv_text, document_for,
@@ -16,7 +16,7 @@ from qhinf.errors import AssumptionError
 from qhinf.passive import PassivePlant
 from qhinf.plant import HinfPlant
 from qhinf.synth import build_controller, synthesize
-from qhinf.verify import are_oracle, close_loop
+from qhinf.verify import are_oracle, attenuation_certificate, close_loop
 
 
 class TestComplexEncoding:
@@ -314,6 +314,30 @@ class TestCli:
         assert main(["verify", plant_path, ctl_path]) == 0
         assert "pass" in capsys.readouterr().out
 
+    def test_verify_closes_a_real_loop(self, tmp_path, capsys, monkeypatch):
+        # a document's matrices load complex; around a quadrature plant
+        # verify closes the loop on their real parts, so the norm and the
+        # witness run in real arithmetic and print what the library's
+        # real loop gives
+        plant = devices.build_dpa(devices.DpaSpec(2.0, 4.0, 1.0, 1.5))
+        ctl = synthesize(plant).controller
+        plant_path = str(tmp_path / "dpa.json")
+        ctl_path = str(tmp_path / "controller.json")
+        save_document(document_for(plant), plant_path)
+        save_document(document_for(ctl), ctl_path)
+        loops = count_calls(monkeypatch, "close_loop", cli)
+        assert main(["verify", plant_path, ctl_path]) == 0
+        out = capsys.readouterr().out
+        (_, K), = loops
+        for name in ("AK", "BK", "CK"):
+            assert np.array_equal(getattr(K, name), getattr(ctl, name))
+            assert np.isrealobj(getattr(K, name))
+        cert = attenuation_certificate(close_loop(plant, ctl))
+        assert cert.passed
+        assert f"Hinf norm            : {cert.hinf:.10g}\n" in out
+        assert f"witness margin       : {cert.witness_margin:.6e}\n" in out
+        assert "attenuation          : pass" in out
+
     def test_synthesize_report_uses_profile(self, tmp_path, capsys,
                                              monkeypatch):
         path = str(tmp_path / "dpa.json")
@@ -370,12 +394,14 @@ class TestCli:
         ["synthesize", "{cavity}", "--method", "oracle"],
         # an infinite band has no log-spaced grid
         ["freqresp", "{dpa}", "--wmax", "inf"],
+        # a quadrature plant's controller must be real
+        ["verify", "{dpa}", "{ctlc}"],
     ])
     def test_invalid_input_exit_one(self, argv, tmp_path, capsys):
         spec = devices.DpaSpec(2.0, 4.0, 1.0, 1.5)
         ctl = synthesize(devices.build_dpa(spec)).controller
         paths = {name: str(tmp_path / f"{name}.json")
-                 for name in ("dpa", "ctl", "ctl3", "slh", "cavity")}
+                 for name in ("dpa", "ctl", "ctl3", "ctlc", "slh", "cavity")}
         save_document(SystemDocument("slh", {
             "S": np.eye(1), "Omega_minus": np.diag([0.0, 1.0]),
             "Omega_plus": np.zeros((2, 2)), "C_minus": np.array([[1.0, 0.0]]),
@@ -389,6 +415,8 @@ class TestCli:
         # a 3-state drift with the DPA controller's 2-state input/output maps
         save_document(SystemDocument("controller", {
             "AK": -np.eye(3), "BK": ctl.BK, "CK": ctl.CK}), paths["ctl3"])
+        save_document(SystemDocument("controller", {
+            "AK": ctl.AK, "BK": ctl.BK + 1e-3j, "CK": ctl.CK}), paths["ctlc"])
         assert main([a.format(**paths) for a in argv]) == 1
         assert capsys.readouterr().err.startswith("error:")
 

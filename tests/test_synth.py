@@ -120,18 +120,33 @@ class TestPrepared:
                 lo, hi = (lo, mid) if ok(mid) else (mid, hi)
             return hi
 
-        plants = [p for p, _ in _prepared_plants()] + list(on_axis_plants())
         refused = 0
-        for plant in plants:
-            for lo, hi, tol in ((0.05, 50.0, 1e-6), (0.05, 50.0, 1e-13),
-                                (0.3, 0.31, 1e-10)):
-                want = reference(plant, lo, hi, tol)
-                if want == "upper bracket":
-                    refused += 1
-                    with pytest.raises(SynthesisError, match="upper bracket"):
-                        min_certified_gamma(plant, lo, hi, tol)
-                else:
-                    assert min_certified_gamma(plant, lo, hi, tol) == want
+
+        def check(plant, lo, hi, tol):
+            nonlocal refused
+            want = reference(plant, lo, hi, tol)
+            if want == "upper bracket":
+                refused += 1
+                with pytest.raises(SynthesisError, match="upper bracket"):
+                    min_certified_gamma(plant, lo, hi, tol)
+            else:
+                assert min_certified_gamma(plant, lo, hi, tol) == want
+            return want
+
+        for plant in [p for p, _ in _prepared_plants()] + list(on_axis_plants()):
+            wide = [check(plant, lo, hi, tol) for lo, hi, tol in (
+                (0.05, 50.0, 1e-6), (0.05, 50.0, 1e-13), (0.3, 0.31, 1e-10))]
+            try:
+                g = gamma_threshold(prepare(plant))
+            except AssumptionError:
+                continue
+            # brackets wholly above or below gamma* reach the bracket
+            # checks: above it lo certifies (a mixed-spectrum plant
+            # certifies at no target), below it hi refuses
+            for tol in (1e-6, 1e-13):
+                assert check(plant, 2 * g, 3 * g, tol) == (
+                    "upper bracket" if wide[0] == "upper bracket" else 2 * g)
+                assert check(plant, g / 3, g / 2, tol) == "upper bracket"
         assert refused
 
 
@@ -369,8 +384,9 @@ class TestGammaThreshold:
                 assert min_certified_gamma(plant, 0.05, 50.0, tol) == want
 
     def test_few_verdicts_per_bisection(self, monkeypatch):
-        # at tol 1e-6 the prediction decides all but the two bracket checks,
-        # the two end checks and a rare midpoint inside the band
+        # at tol 1e-6 the prediction decides all but the two end checks and
+        # a rare midpoint inside the band; with gamma* inside the bracket
+        # its ends get no verdict
         calls = []
 
         def counting(prep, g):
@@ -382,9 +398,69 @@ class TestGammaThreshold:
         wants = [_plain_bisection(p, 0.1, 10.0, 1e-6) for p in plants]
         monkeypatch.setattr(synth, "verdict", counting)
         for plant, want in zip(plants, wants):
+            assert 0.1 < gamma_threshold(prepare(plant)) < 10.0
             calls.clear()
             assert min_certified_gamma(plant, 0.1, 10.0) == want
-            assert len(calls) <= 5
+            assert len(calls) <= 3
+            assert 0.1 not in calls and 10.0 not in calls
+
+    def test_hermitian_linearization_matches_companion(self):
+        # on coupled splits the top eigenvalue of the Hermitian H is the
+        # largest root the companion linearization gives; the one-mode sym
+        # plant and the case-1 amplifiers have an empty block and take the
+        # pencil, whose root the companion gives as well
+        rng = np.random.default_rng(46)
+        plants = ([random_sym_plant(rng, n) for n in (1, 2, 3, 5, 8)]
+                  + [random_mixed_plant(rng, n) for n in (2, 3, 4)]
+                  + list(_dpa_plants(rng, 2)))
+        preps = [prepare(p) for p in plants]
+        coupled = [not synth.uncoupled(p.plant, p.split) for p in preps]
+        assert coupled == [False] + [True] * 7 + [False, True] * 2
+        # a singular T on a coupled split: the square root meets zero
+        # eigenvalues
+        for prep in preps[1], preps[5], preps[-1]:
+            T0, t = prep.T, prep.T[:, :1]
+            for T in (T0 - np.linalg.eigvalsh(T0)[0] * np.eye(len(T0)),
+                      t @ t.conj().T):
+                preps.append(dataclasses.replace(prep, T=T))
+        for prep in preps:
+            want = _companion_gamma_star(prep)
+            assert want > 0
+            assert gamma_threshold(prep) == pytest.approx(want, rel=1e-12)
+
+    def test_uncoupled_pencil_is_unchanged(self):
+        # one-sided and passive plants keep eigvalsh of the pencil
+        # (diag(T, V), diag(S, U)), bit for bit
+        rng = np.random.default_rng(47)
+        plants = ([random_general_plant(rng, n, side)
+                   for n in (1, 2, 4) for side in (1, -1)]
+                  + [random_passive_plant(rng, n) for n in (1, 2, 3, 5)]
+                  + [build_cavity(CavitySpec(1.0, 4.0))])
+        for plant in plants:
+            prep = prepare(plant)
+            assert synth.uncoupled(plant, prep.split)
+            top = sla.eigvalsh(sla.block_diag(prep.T, prep.V),
+                               sla.block_diag(prep.S, prep.U))[-1]
+            assert gamma_threshold(prep) == float(np.sqrt(max(top, 0.0)))
+
+
+def _companion_gamma_star(prep):
+    """gamma* from the 2n x 2n companion linearization [[0, I], [-K2, -K1]]
+    of mu^2 I + mu K1 + K2 (see gamma_threshold): the largest real part of
+    its eigenvalues, 0 when none is positive.  On an uncoupled split F = 0
+    and this is the pencil's root."""
+    L0 = sla.block_diag(prep.S, prep.U)
+    L2 = sla.block_diag(prep.T, prep.V)
+    na = prep.split.n_anti
+    L1 = np.zeros_like(L0)
+    L1[:na, na:] = synth.coupling(prep)
+    L1[na:, :na] = L1[:na, na:].T
+    n = L0.shape[0]
+    Rinv = sla.solve_triangular(np.linalg.cholesky(L0), np.eye(n), lower=True)
+    K1 = Rinv @ L1 @ Rinv.conj().T
+    K2 = -Rinv @ L2 @ Rinv.conj().T
+    companion = np.block([[np.zeros((n, n)), np.eye(n)], [-K2, -K1]])
+    return float(np.max(np.linalg.eigvals(companion).real, initial=0.0))
 
 
 def _block_rule(plant):
