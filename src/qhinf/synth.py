@@ -43,6 +43,14 @@ a coupled split both rho(XY) and gamma* read the coupling block F
 anti-stable block instead of the 2n x 2n product XY.  A symmetric Ax (the
 passive plants, the sym family, the DPA) gets the Hermitian split, whose
 diagonal blocks make the four Lyapunov solves closed-form divisions.
+
+The loop Hurwitz gates pass in exact arithmetic whenever positivity does
+(certify gives the identities), so they refuse only through rounding just
+above gamma*.  On a coupled two-sided split with A12 = 0, the Hermitian
+split of the sym family and the DPA, each gate is one eigenvalue solve on
+its own block, n_anti x n_anti for X and n_stable x n_stable for Y, with
+Xs and Yu from assemble_xy.  One-sided splits, splits with A12 != 0 and
+passive plants keep the two full-space eigenvalue solves.
 """
 
 from dataclasses import dataclass, field, replace
@@ -235,7 +243,7 @@ def assemble_xy(plant, prep: Prepared, quad: LyapunovQuad):
     uncoupled split; otherwise it is taken on the anti-stable block, as
     rho(Xs F Yu F^T) / g^2 with F = coupling(prep): the nonzero spectrum of
     XY is that of this n_anti x n_anti product.  Returns
-    (X, Y, rho_xy, (U - V/g^2)^-1).
+    (X, Y, rho_xy, Xs, Yu).
     """
     split = prep.split
     n = plant.A.shape[0]
@@ -254,7 +262,7 @@ def assemble_xy(plant, prep: Prepared, quad: LyapunovQuad):
     else:
         F = coupling(prep)
         rho = linalg.spectral_radius(Xs @ F @ Yu @ F.T) / plant.gamma ** 2
-    return X, Y, rho, Yu
+    return X, Y, rho, Xs, Yu
 
 
 def coupling(prep: Prepared) -> np.ndarray:
@@ -293,16 +301,36 @@ def riccati_residuals(plant, X: np.ndarray, Y: np.ndarray, weights) -> dict:
 
 def certify(plant: Plant, prep: Prepared, X: np.ndarray,
             Y: np.ndarray, rho_xy: float, rho_ok: bool, weights,
-            UmVg_inv) -> tuple[list[str], dict]:
+            Xs: np.ndarray, Yu: np.ndarray) -> tuple[list[str], dict]:
     """The conditions the assembled (X, Y) must meet to certify the target.
 
     They are the direct ones: rho(XY) < 1 - pd_tol (rho_ok, the caller's
     verdict, which also gates the controller), cross-block compatibility,
     and Hurwitz stability of the two loop matrices Ax + M X and Ay + Y N.
-    UmVg_inv is assemble_xy's (U - V/g^2)^-1.  Returns the failed
-    conditions (none: certified) and the diagnostics of the last three.
-    An empty anti-stable (stable) block makes X (Y) exactly 0, so that
-    loop matrix is Ax (Ay) at every gamma, and prep decides it once.
+    Xs and Yu are assemble_xy's (S - T/g^2)^-1 and (U - V/g^2)^-1.  Returns
+    the failed conditions (none: certified) and the diagnostics of the last
+    three.  An empty anti-stable (stable) block makes X (Y) exactly 0, so
+    that loop matrix is Ax (Ay) at every gamma, and prep decides it once.
+
+    In the split's basis, with P = S - T/g^2, Q = U - V/g^2 and tildes for
+    W (.) W^H,
+
+        W (Ax + M X) W^H = [[A11, *], [0, A22 + M~22 Xs]],
+        A22 + M~22 Xs = -P A22^H P^-1,
+
+    and when A12 = 0 the adjoint of Ay + Y N, -Ax + adj(N) adj(Y), is block
+    lower triangular with diagonal blocks adj(N)~11 Yu/g^2 - A11 =
+    Q A11^H Q^-1 and -A22.  The split has shown A11 stable and A22
+    anti-stable, so in exact arithmetic both gates pass whenever positivity
+    does: they refuse only through rounding, when the differences are
+    nearly singular just above gamma*.  A coupled two-sided split with
+    A12 = 0 (the Hermitian split of the sym family and the DPA) runs each
+    gate on its own block, an n_anti x n_anti and an n_stable x n_stable
+    eigenvalue solve instead of two of order n.  Every other split keeps
+    the full-space gates: on a one-sided split the block is the whole
+    space; with A12 != 0 the Y loop is not block triangular; and on passive
+    plants the full-space rounding is what refuses near-threshold
+    controllers that miss gamma, which the block form certifies.
     """
     split = prep.split
     # X and Y need no PSD test: each is congruent to a PD block (positivity
@@ -312,8 +340,8 @@ def certify(plant: Plant, prep: Prepared, X: np.ndarray,
     # cross-block compatibility: the padded Y-candidate solves its Riccati
     # equation only when the off-diagonal blocks Y1 Ax2 (and its transpose)
     # vanish, i.e. the coupling block must be annihilated (empty: 0)
-    compat = float(np.linalg.norm(UmVg_inv @ split.A12)
-                   / ((1.0 + np.linalg.norm(UmVg_inv))
+    compat = float(np.linalg.norm(Yu @ split.A12)
+                   / ((1.0 + np.linalg.norm(Yu))
                       * (1.0 + np.linalg.norm(split.A11) + np.linalg.norm(split.A22))))
     diagnostics = {"compat_residual": compat,
                    "cross_block_norm": float(np.linalg.norm(split.A12))}
@@ -321,9 +349,16 @@ def certify(plant: Plant, prep: Prepared, X: np.ndarray,
         why.append("cross-block compatibility equation fails")
 
     M, N = weights
-    for name, size, shifted, loop in (
-            ("X", split.n_anti, plant.Ax, lambda: plant.Ax + M @ X),
-            ("Y", split.n_stable, plant.Ay, lambda: plant.Ay + Y @ N)):
+    # a coupled two-sided split with A12 = 0 takes the block gates
+    if not (uncoupled(plant, split) or split.A12.any()):
+        W1, W2 = split.W[:split.n_stable], split.W[split.n_stable:]
+        loops = (lambda: split.A22 + W2 @ M @ W2.conj().T @ Xs,
+                 lambda: (W1 @ plant.adjoint(N) @ W1.conj().T @ Yu
+                          / plant.gamma ** 2 - split.A11))
+    else:
+        loops = (lambda: plant.Ax + M @ X, lambda: plant.Ay + Y @ N)
+    for name, size, shifted, loop in zip(
+            "XY", (split.n_anti, split.n_stable), (plant.Ax, plant.Ay), loops):
         gate = f"loop_{name.lower()}_hurwitz"
         hurwitz = diagnostics[gate] = (
             linalg.is_hurwitz(loop()) if size
@@ -403,11 +438,11 @@ def verdict(prep: Prepared, gamma: float) -> Verdict:
     if failure:
         return v
     v.weights = riccati_weights(plant)
-    v.X, v.Y, v.rho_xy, UmVg_inv = assemble_xy(plant, prep, quad)
+    v.X, v.Y, v.rho_xy, Xs, Yu = assemble_xy(plant, prep, quad)
     # the one rho(XY) margin: it gates the certificate and the controller
     rho_ok = v.rho_xy < 1.0 - plant.opts.pd_tol
     v.why, v.gates = certify(plant, prep, v.X, v.Y, v.rho_xy, rho_ok,
-                             v.weights, UmVg_inv)
+                             v.weights, Xs, Yu)
     if rho_ok:
         # an empty block leaves YX = 0 exactly, so I - YX = I
         split = prep.split
