@@ -78,14 +78,18 @@ def cavity_pr_gamma(kappa_ratio: float, opts: NumericOptions = DEFAULT) -> float
 
         (k^2 + 4k - 1) t^2 - 8 k^2 t + 2 k^2 (k + 1) = 0,   k = kappa1/kappa2.
 
+    Its discriminant b^2 - 4ac is exactly 8 k^2 (1 - k)^3 and is evaluated
+    in that factorized form, sqrt(8) k (1 - k)^(3/2), which keeps its digits
+    as k -> 1, where the difference of the expanded terms cancels.
     Branch selection: above the branch point k = sqrt(5) - 2 the leading
     coefficient is positive and the plus root applies; below it only the
-    minus root is positive; at the branch point the quadratic degenerates
+    minus root is positive, and it is taken as 2c/(-b + disc), which does
+    not cancel as a -> 0; at the branch point the quadratic degenerates
     and t = (k + 1)/4.  The returned gamma always exceeds sqrt(k), the
     attenuation threshold, so exact realizability costs performance.  The
     value is verified by substituting the closed-form controller back into
-    the realizability identity; on disagreement the polynomial roots are
-    scanned for the one that actually annihilates the defect.
+    the realizability identity; a root that fails that residual check, or
+    does not exceed sqrt(k), raises StructureError.
     """
     k = float(kappa_ratio)
     if not 0.0 < k < 1.0:
@@ -94,18 +98,14 @@ def cavity_pr_gamma(kappa_ratio: float, opts: NumericOptions = DEFAULT) -> float
     if abs(a) < 1e-10:
         t = (k + 1) / 4
     else:
-        disc = np.sqrt(b * b - 4 * a * c)
-        t = ((-b + disc) / (2 * a)) if k > SQRT5_M2 else ((-b - disc) / (2 * a))
+        disc = np.sqrt(8.0) * k * (1.0 - k) ** 1.5
+        t = ((-b + disc) / (2 * a)) if k > SQRT5_M2 else (2 * c / (-b + disc))
     gamma = float(np.sqrt(t))
-    if _cavity_pr_residual(k, gamma) > opts.pr_tol:
-        roots = [r.real for r in np.roots([a, b, c])
-                 if abs(r.imag) < 1e-12 and r.real > 0]
-        gamma = min((float(np.sqrt(r)) for r in roots
-                     if _cavity_pr_residual(k, np.sqrt(r)) <= opts.pr_tol),
-                    default=None)
-        if gamma is None:
-            raise StructureError(
-                f"no realizability root found for kappa ratio {k}")
+    residual = _cavity_pr_residual(k, gamma)
+    if residual > opts.pr_tol:
+        raise StructureError(
+            f"realizability root for kappa ratio {k} fails the residual "
+            f"check: residual {residual:.3e}")
     if gamma <= np.sqrt(k):
         raise StructureError(
             "realizability root does not exceed the attenuation threshold")

@@ -2,14 +2,14 @@
 
 Matrices are stored as nested arrays of [re, im] pairs so documents are
 human-diffable and representation-explicit.  Documents and reports are
-written by json_text, in the layout of json.dumps(indent=2, sort_keys=True),
-with each matrix encoded in one pass.  All file writes are atomic (write to
-a temp file in the same directory, then rename).
+written by json_text in one recursive pass, in the layout of
+json.dumps(indent=2, sort_keys=True), with each matrix handed to _array_text
+and written by one C-level encode.  All file writes are atomic (write to a
+temp file in the same directory, then rename).
 """
 
 import json
 import os
-import re
 import sys
 import tempfile
 from dataclasses import dataclass, field
@@ -61,12 +61,6 @@ def require_real(M: np.ndarray, where: str) -> np.ndarray:
     return M.real
 
 
-# json_text's stand-in for an array leaf; json.dumps writes it as
-# "\u0000ndarray:<i>\u0000"
-_ARRAY_LEAF = "\0ndarray:{}\0"
-_ARRAY_LEAF_TEXT = re.compile(r'"\\u0000ndarray:(\d+)\\u0000"')
-
-
 def _array_text(A: np.ndarray, indent: int) -> str:
     """A non-empty array as json.dumps(A.tolist(), indent=2) writes it when
     its opening bracket sits on a line indented by indent spaces.
@@ -92,42 +86,40 @@ def _array_text(A: np.ndarray, indent: int) -> str:
     return s
 
 
+def _encode(obj, indent: int) -> str:
+    """obj as json.dumps(obj, indent=2, sort_keys=True) writes it when its
+    first character sits on a line indented by indent spaces, with every
+    np.ndarray written as its tolist() would be.  A key that is not a string
+    is written as the string of its JSON text; empty containers and scalars
+    are written by json.dumps itself."""
+    if isinstance(obj, np.ndarray):
+        if obj.ndim and obj.size and obj.dtype.kind in "biuf":
+            return _array_text(obj, indent)
+        obj = obj.tolist()
+    if isinstance(obj, dict) and obj:
+        pad = "\n" + " " * (indent + 2)
+        return "{" + ",".join([
+            pad + json.dumps(k if isinstance(k, str) else json.dumps(k))
+            + ": " + _encode(v, indent + 2)
+            for k, v in sorted(obj.items())]) + "\n" + " " * indent + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        pad = "\n" + " " * (indent + 2)
+        return "[" + ",".join([pad + _encode(v, indent + 2) for v in obj]) \
+            + "\n" + " " * indent + "]"
+    return json.dumps(obj)
+
+
 def json_text(payload) -> str:
     """json.dumps(payload, indent=2, sort_keys=True) + "\n", byte for byte,
     with every np.ndarray leaf written as its tolist() would be.
 
-    The stdlib encoder writes the skeleton with a stand-in string for each
-    non-empty array, and _array_text writes the array itself in one C-level
-    pass.  Empty, 0-d and non-numeric arrays, and every array of a payload
-    whose strings could be taken for a stand-in, go through the stdlib
-    encoder as lists.
+    One recursive pass (_encode) lays out the containers and hands each
+    non-empty numeric array, with the indent of the line it opens on, to
+    _array_text, which writes it in one C-level encode.  An empty, 0-d or
+    non-numeric array is laid out as its tolist(), and every other leaf is
+    written by json.dumps.
     """
-    arrays = []
-
-    def skeleton(obj, stand_in):
-        if isinstance(obj, dict):
-            return {k: skeleton(v, stand_in) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [skeleton(v, stand_in) for v in obj]
-        if not isinstance(obj, np.ndarray):
-            return obj
-        if not (stand_in and obj.ndim and obj.size and obj.dtype.kind in "biuf"):
-            return obj.tolist()
-        arrays.append(obj)
-        return _ARRAY_LEAF.format(len(arrays) - 1)
-
-    text = json.dumps(skeleton(payload, True), indent=2, sort_keys=True)
-    leaves = list(_ARRAY_LEAF_TEXT.finditer(text))
-    if len(leaves) != len(arrays):
-        return json.dumps(skeleton(payload, False), indent=2, sort_keys=True) + "\n"
-    parts, end = [], 0
-    for m in leaves:
-        line = text[text.rfind("\n", 0, m.start()) + 1:m.start()]
-        parts += [text[end:m.start()],
-                  _array_text(arrays[int(m[1])], len(line) - len(line.lstrip(" ")))]
-        end = m.end()
-    parts.append(text[end:])
-    return "".join(parts) + "\n"
+    return _encode(payload, 0) + "\n"
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -45,7 +45,10 @@ class TestCavity:
         assert _cavity_pr_residual(SQRT5_M2, g) < 1e-10
 
     def test_pr_gamma_both_branches(self):
-        for kappa in (0.1, 0.2, SQRT5_M2, 0.3, 0.6, 0.9):
+        # the last three lose the expanded discriminant's digits to
+        # cancellation as kappa -> 1
+        for kappa in (0.1, 0.2, SQRT5_M2, 0.3, 0.6, 0.9,
+                      0.9995, 0.9999, 0.999990289004855):
             g = cavity_pr_gamma(kappa)
             assert g > np.sqrt(kappa)
             assert _cavity_pr_residual(kappa, g) < 1e-9

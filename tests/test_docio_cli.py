@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from conftest import (count_calls, on_axis_plants, random_passive_plant,
-                      random_slh_model, random_sym_plant)
+from conftest import (count_calls, on_axis_plants, random_passive_model,
+                      random_passive_plant, random_slh_model,
+                      random_sym_plant)
 from qhinf import cli, devices, qls
 from qhinf.cli import PROFILES, main, make_parser
 from qhinf.docio import (DocumentError, SystemDocument, atomic_write_text,
@@ -15,6 +16,7 @@ from qhinf.docio import (DocumentError, SystemDocument, atomic_write_text,
 from qhinf.errors import AssumptionError
 from qhinf.passive import PassivePlant
 from qhinf.plant import HinfPlant
+from qhinf.report import synthesis_report
 from qhinf.synth import build_controller, synthesize
 from qhinf.verify import are_oracle, attenuation_certificate, close_loop
 
@@ -49,15 +51,30 @@ class TestJsonText:
                                             [np.nan, 1j, -4e10]])),
         "4-D": np.arange(24.0).reshape(2, 3, 2, 2) / 7,
         "strings": np.array([["a, [b]", "]"]]),
+        "bool": np.array([[True, False], [False, True]]),
+        "int": np.arange(-3, 3).reshape(3, 2),
     }
 
     @pytest.mark.parametrize("name", ARRAYS)
     def test_matches_stdlib_indent(self, name):
         A = self.ARRAYS[name]
+        plant = random_sym_plant(np.random.default_rng(3), 3)
+        doc = document_for(random_passive_plant(np.random.default_rng(3), 3))
         for payload in (A, {"m": A}, [A, "x", A],
                         {"z": 1, "b": {"c": [A, None, {"d": A}]}, "a": A},
-                        # a string that reads as json_text's array stand-in
-                        {"s": "\0ndarray:0\0", "m": A}):
+                        # strings that read as array placeholders, which an
+                        # encoder that substitutes text after the fact
+                        # could mistake for an array
+                        {"s": "\0ndarray:0\0", "m": A},
+                        {3: A, -1: [A, "\u0000"], 10: {2: (A,), 1: None}},
+                        (A, (A, "t", ()), ((),)),
+                        {"e": {"f": {}, "g": [[], {}]}, "h": [[[]], {"i": {}}],
+                         "m": [{"n": A, "o": []}]},
+                        synthesis_report(plant, synthesize(plant)),
+                        {"schema_version": doc.schema_version, "kind": doc.kind,
+                         "matrices": {k: complex_to_pairs(v)
+                                      for k, v in doc.matrices.items()},
+                         "params": doc.params, "gamma": doc.gamma, "m": A}):
             assert json_text(payload) == json.dumps(
                 _as_lists(payload), indent=2, sort_keys=True) + "\n"
 
@@ -142,6 +159,29 @@ class TestCli:
         out = capsys.readouterr().out
         assert "certified" in out
 
+    def test_example_dpa_both_cases(self, tmp_path, capsys):
+        # case 1 checks X against the verified stabilizing form and prints
+        # the printed reference form's mismatch without failing; case 2
+        # checks S, T, U and V, and the document it emits certifies
+        assert main(["example", "dpa"]) == 0
+        head, x, x_ref = capsys.readouterr().out.splitlines()
+        assert head.endswith("branch=case1 certified=True")
+        assert x.startswith("  X ")
+        assert x.endswith(" -> ok  (verified stabilizing form)")
+        assert x_ref.startswith("  X(ref) ")
+        assert x_ref.endswith(
+            " -> MISMATCH  (printed reference form, known inconsistent)")
+        path = str(tmp_path / "dpa.json")
+        assert main(["example", "dpa", "--ku", "1.5", "--gamma", "1.5",
+                     "--emit", path]) == 0
+        head, *rows, written = capsys.readouterr().out.splitlines()
+        assert head.endswith("branch=case2 certified=True")
+        assert [r.split()[0] for r in rows] == ["S", "T", "U", "V"]
+        assert all(r.endswith(" -> ok") for r in rows)
+        assert written == f"document written to {path}"
+        assert main(["synthesize", path]) == 0
+        assert "certified            : True\n" in capsys.readouterr().out
+
     def test_synthesize_json(self, rng, tmp_path, capsys):
         path = self.write_plant(rng, tmp_path)
         assert main(["synthesize", path, "--json"]) == 0
@@ -156,6 +196,25 @@ class TestCli:
         for text in (out, doc):
             assert text == json.dumps(json.loads(text), indent=2,
                                       sort_keys=True) + "\n"
+        # the text report of the same run prints the same figures
+        assert main(["synthesize", path]) == 0
+        lines = dict(line.split(" : ", 1)
+                     for line in capsys.readouterr().out.splitlines())
+        k, c = rep["controller"], rep["closed_loop"]
+        assert {name.strip(): v for name, v in lines.items()} == {
+            "gamma": f"{rep['gamma']:.10g}",
+            "certified": "True",
+            "method path": rep["method_path"],
+            "rho(XY)": f"{rep['rho_xy']:.6e}",
+            "sigma short-cut": str(rep["sigma_condition"]),
+            "stable/anti split": f"{rep['split']['n_stable']}/"
+                                 f"{rep['split']['n_anti']}",
+            "controller PR resid": f"{k['pr_residual']:.6e}" + (
+                "  (needs vacuum augmentation)" if k["needs_augmentation"]
+                else "  (realizable as-is)"),
+            "closed-loop stable": str(c["internally_stable"]),
+            "closed-loop Hinf": f"{c['hinf']:.10g}  (margin {c['margin']:.3e})"}
+        assert rep["sigma_condition"] is not None
 
     def test_reports_carry_the_witness(self, rng, tmp_path, capsys):
         # synthesize --json and verify keep their keys and lines and add the
@@ -195,6 +254,21 @@ class TestCli:
         out = capsys.readouterr().out
         assert "pr (joint plant)" in out.lower()
         assert "a3/a4" in out.lower()
+        # an SLH model: the PR residuals of its doubled-up and quadrature
+        # systems, and whether it is passive
+        for model in (random_slh_model(rng), random_passive_model(rng)):
+            save_document(document_for(model), path)
+            assert main(["check", path]) == 0
+            ss = qls.build_complex_system(model)
+            want = []
+            for tag, sys_ in (("doubled", ss),
+                              ("quadrature", qls.to_quadrature(ss))):
+                pr = qls.check_physical_realizability(sys_)
+                want.append(f"PR ({tag})            : residuals "
+                            f"{pr.residual_dynamics:.3e} / "
+                            f"{pr.residual_coupling:.3e} -> ok")
+            want.append(f"passive              : {qls.is_passive(model)}")
+            assert capsys.readouterr().out.splitlines() == want
 
     def test_check_spectral_condition_both_kinds(self, rng, tmp_path, capsys):
         on_axis = on_axis_plants()
