@@ -96,17 +96,15 @@ def _encode(obj, indent: int) -> str:
         if obj.ndim and obj.size and obj.dtype.kind in "biuf":
             return _array_text(obj, indent)
         obj = obj.tolist()
-    if isinstance(obj, dict) and obj:
-        pad = "\n" + " " * (indent + 2)
+    if not (isinstance(obj, (dict, list, tuple)) and obj):
+        return json.dumps(obj)
+    pad, end = "\n" + " " * (indent + 2), "\n" + " " * indent
+    if isinstance(obj, dict):
         return "{" + ",".join([
             pad + json.dumps(k if isinstance(k, str) else json.dumps(k))
             + ": " + _encode(v, indent + 2)
-            for k, v in sorted(obj.items())]) + "\n" + " " * indent + "}"
-    if isinstance(obj, (list, tuple)) and obj:
-        pad = "\n" + " " * (indent + 2)
-        return "[" + ",".join([pad + _encode(v, indent + 2) for v in obj]) \
-            + "\n" + " " * indent + "]"
-    return json.dumps(obj)
+            for k, v in sorted(obj.items())]) + end + "}"
+    return "[" + ",".join([pad + _encode(v, indent + 2) for v in obj]) + end + "]"
 
 
 def json_text(payload) -> str:
