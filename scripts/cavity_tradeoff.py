@@ -4,8 +4,11 @@ two-input cavity.
 
 For each coupling ratio kappa = kappa1/kappa2 the synthesis certifies any
 gamma > sqrt(kappa), but the controller is realizable without extra vacuum
-channels only at the isolated gamma returned by cavity_pr_gamma.  This script
-tabulates both curves and the gap between them.
+channels only at the roots of a quadratic in gamma^2: one root below the
+branch point kappa = sqrt(5) - 2 and two above it.  This script tabulates
+sqrt(kappa), the gamma returned by cavity_pr_gamma (above the branch point
+the larger root; the smaller one realizes too, nearer sqrt(kappa)) and the
+gap between them.
 
 Usage: python3 scripts/cavity_tradeoff.py [out.csv]
 """

@@ -72,7 +72,7 @@ def _cavity_pr_residual(kappa: float, gamma: float) -> float:
 
 
 def cavity_pr_gamma(kappa_ratio: float, opts: NumericOptions = DEFAULT) -> float:
-    """The gamma at which the cavity controller is realizable as-is.
+    """A gamma at which the cavity controller is realizable as-is.
 
     The realizability defect vanishes on the roots in t = gamma^2 of
 
@@ -81,15 +81,20 @@ def cavity_pr_gamma(kappa_ratio: float, opts: NumericOptions = DEFAULT) -> float
     Its discriminant b^2 - 4ac is exactly 8 k^2 (1 - k)^3 and is evaluated
     in that factorized form, sqrt(8) k (1 - k)^(3/2), which keeps its digits
     as k -> 1, where the difference of the expanded terms cancels.
-    Branch selection: above the branch point k = sqrt(5) - 2 the leading
-    coefficient is positive and the plus root applies; below it only the
-    minus root is positive, and it is taken as 2c/(-b + disc), which does
-    not cancel as a -> 0; at the branch point the quadratic degenerates
-    and t = (k + 1)/4.  The returned gamma always exceeds sqrt(k), the
-    attenuation threshold, so exact realizability costs performance.  The
-    value is verified by substituting the closed-form controller back into
-    the realizability identity; a root that fails that residual check, or
-    does not exceed sqrt(k), raises StructureError.
+    Branch selection: below the branch point k = sqrt(5) - 2 only the minus
+    root is positive, and it is taken as 2c/(-b + disc), which does not
+    cancel as a -> 0; at the branch point the quadratic degenerates and
+    t = (k + 1)/4.  Above it the leading coefficient is positive and both
+    roots are positive and realizable: this function returns the plus root,
+    the larger gamma.  The minus root 2c/(-b + disc) realizes as well and
+    lies nearer sqrt(k) (k = 0.5: 1.0 is returned, sqrt(0.6) = 0.7746 also
+    realizes), and it continues the branch-point value, while the plus root
+    grows without bound as k falls to the branch point.  The returned gamma
+    always exceeds sqrt(k), the attenuation threshold, so exact
+    realizability costs performance.  The value is verified by substituting
+    the closed-form controller back into the realizability identity; a root
+    that fails that residual check, or does not exceed sqrt(k), raises
+    StructureError.
     """
     k = float(kappa_ratio)
     if not 0.0 < k < 1.0:

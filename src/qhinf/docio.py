@@ -159,11 +159,16 @@ def save_document(doc: SystemDocument, path: str) -> None:
 
 
 def load_document(path: str) -> SystemDocument:
-    with open(path) as fh:
+    # JSON text is UTF-8 (RFC 8259), whatever the locale's encoding
+    with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DocumentError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+        except (RecursionError, ValueError) as exc:
+            # not UTF-8, nested past the recursion limit, or an integer
+            # literal longer than int() converts
+            raise DocumentError(f"{path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise DocumentError(f"{path}: top level must be an object")
     version = payload.get("schema_version")

@@ -18,13 +18,12 @@ synthesize is prepare then synthesize_at; min_certified_gamma prepares once
 and reuses it at every gamma.
 
 prepare also keeps one entry: the last plant's physics key and its Prepared.
-A plant with the same class, opts and bit-identical Ax, Ay, B1, B2 (the
-inputs of the split, the solves and the one-sided loop gates) gets that
-split and S, T, U, V rebound to itself, so a loop over plant.with_gamma(g),
-or over plants built separately at each gamma, splits and solves once.  The
-shared arrays are read-only; a refused plant is not kept.  What only the
-physics decides beyond that (Z, the regime label, the loop gate of an empty
-side) is computed on first use and shared the same way.
+A plant with the same class, opts and bit-identical Ax, B1, B2 (the inputs
+of the split and the solves) gets that split, S, T, U, V and F rebound to
+itself, so a loop over plant.with_gamma(g), or over plants built separately
+at each gamma, splits and solves once.  The shared arrays are read-only; a
+refused plant is not kept.  What only the physics decides beyond that (Z
+and the regime label) is computed on first use and shared the same way.
 
 Positivity of both differences and rho(XY) < 1 hold together exactly while
 one Hermitian matrix, quadratic in nu = 1/gamma, stays positive definite, so
@@ -37,9 +36,10 @@ and proves the outcome with two verdicts, one at each final end.
 Every stage serves both plant kinds.  A plant supplies its split, Ax, Ay
 and its adjoint, and its class says whether that adjoint couples the split's
 two blocks (couples_blocks; a passive plant's does not).  On an uncoupled
-split rho(XY) = 0 and gamma* comes from one Hermitian-definite pencil.  On
-a coupled split both rho(XY) and gamma* read the coupling block F
-(coupling, once per physics), and rho(XY) is taken on the n_anti x n_anti
+split (no coupling, or an empty block: Prepared.F is None) rho(XY) = 0 and
+gamma* comes from one Hermitian-definite pencil.  On a coupled split both
+rho(XY) and gamma* read the coupling block Prepared.F, which solve_quad
+builds once per physics, and rho(XY) is taken on the n_anti x n_anti
 anti-stable block instead of the 2n x 2n product XY.  A symmetric Ax (the
 passive plants, the sym family, the DPA) gets the Hermitian split, whose
 diagonal blocks make the four Lyapunov solves closed-form divisions.
@@ -49,8 +49,9 @@ The loop Hurwitz gates pass in exact arithmetic whenever positivity does
 above gamma*.  On a coupled two-sided split with A12 = 0, the Hermitian
 split of the sym family and the DPA, each gate is one eigenvalue solve on
 its own block, n_anti x n_anti for X and n_stable x n_stable for Y, with
-Xs and Yu from assemble_xy.  One-sided splits, splits with A12 != 0 and
-passive plants keep the two full-space eigenvalue solves.
+Xs and Yu from assemble_xy.  Splits with A12 != 0, passive plants and the
+nonempty side of a one-sided split keep the full-space solves; an empty
+side's gate needs none (see certify).
 """
 
 from dataclasses import dataclass, field, replace
@@ -63,7 +64,6 @@ from .errors import AssumptionError, SynthesisError
 from .linalg import SchurSplit
 from .options import DEFAULT, NumericOptions
 from .plant import Plant
-from .qls import j_symplectic
 
 
 @dataclass
@@ -122,17 +122,26 @@ class SynthesisResult:
 @dataclass
 class Prepared:
     """The gamma-independent stage of a synthesis: the plant, its
-    stable/anti-stable split and the four Lyapunov solutions on it.  Every
-    gamma reuses them; only S - T/gamma^2, U - V/gamma^2 and what follows
-    depend on gamma."""
+    stable/anti-stable split, the four Lyapunov solutions on it and the
+    coupling block F.  Every gamma reuses them; only S - T/gamma^2,
+    U - V/gamma^2 and what follows depend on gamma.
+
+    F = W2 JJ^T W1^T is the block through which a HinfPlant's sharp adjoint
+    couples the anti-stable rows W2 of W to the stable rows W1 (see
+    assemble_xy and gamma_threshold).  It is None on an uncoupled split:
+    the adjoint does not couple the blocks (couples_blocks) or a block is
+    empty, so X and Y live on different blocks, rho(XY) = 0 and positivity
+    alone decides.  It vanishes when the stable subspace is JJ-invariant,
+    as on the sym family's splits."""
     plant: Plant
     split: SchurSplit
     S: np.ndarray
     T: np.ndarray
     U: np.ndarray
     V: np.ndarray
-    # values that depend on the physics alone, by name (see _once); prepare
-    # shares the dict between every Prepared of the same physics
+    F: np.ndarray | None
+    # Z and the regime, which depend on the physics alone (synthesize_at);
+    # prepare shares the dict between every Prepared of the same physics
     _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def at(self, gamma: float) -> tuple[Plant, LyapunovQuad]:
@@ -142,13 +151,6 @@ class Prepared:
         g2 = plant.gamma ** 2
         return plant, LyapunovQuad(self.S, self.T, self.U, self.V,
                                    self.S - self.T / g2, self.U - self.V / g2)
-
-
-def _once(prep: Prepared, name: str, compute):
-    """prep's value of name, computed by compute() on first use."""
-    if name not in prep._memo:
-        prep._memo[name] = compute()
-    return prep._memo[name]
 
 
 def solve_quad(plant, split: SchurSplit) -> Prepared:
@@ -165,17 +167,26 @@ def solve_quad(plant, split: SchurSplit) -> Prepared:
     The split's blocks Ax1 = A11 and Ax3 = A22 are already in Schur form, so
     each solve is linalg.solve_lyapunov_schur, with no Schur factorization
     of its own.  Empty blocks give zero-dimensional members and the pipeline
-    degenerates to two equations.
+    degenerates to two equations.  A coupled split also gets its coupling
+    block F (see Prepared).
     """
-    sd = split.n_stable
-    B1x, B2x = split.W @ plant.B1, split.W @ plant.B2
+    sd, W = split.n_stable, split.W
+    B1x, B2x = W @ plant.B1, W @ plant.B2
 
     def lyap(A, B):
         return linalg.solve_lyapunov_schur(A, B @ B.conj().T, plant.opts)
 
+    F = None
+    if plant.couples_blocks and sd and split.n_anti:
+        # W2 JJ^T = [W2[:, m:], -W2[:, :m]], a signed column permutation,
+        # written into a C-order array so that F rounds as the product does
+        m = W.shape[1] // 2
+        W2J = np.empty((split.n_anti, 2 * m), W.dtype)
+        W2J[:, :m], W2J[:, m:] = W[sd:, m:], -W[sd:, :m]
+        F = W2J @ W[:sd].T
     return Prepared(plant, split,
                     lyap(-split.A22, B2x[sd:]), lyap(-split.A22, B1x[sd:]),
-                    lyap(split.A11, B1x[:sd]), lyap(split.A11, B2x[:sd]))
+                    lyap(split.A11, B1x[:sd]), lyap(split.A11, B2x[:sd]), F)
 
 
 # prepare's one entry: the physics key of the last plant it prepared and
@@ -184,11 +195,11 @@ _last: tuple = (None, None)
 
 
 def _physics_key(plant: Plant) -> tuple:
-    """What the split, the four solves and the one-sided loop gates read:
-    the class (its split and adjoint), opts, and Ax, Ay, B1, B2 bit for bit."""
+    """What the split, the four solves and F read: the class (its split and
+    adjoint), opts, and Ax, B1, B2 bit for bit."""
     return (type(plant), plant.opts,
             *((M.dtype.str, M.shape, M.tobytes())
-              for M in (plant.Ax, plant.Ay, plant.B1, plant.B2)))
+              for M in (plant.Ax, plant.B1, plant.B2)))
 
 
 def prepare(plant: Plant) -> Prepared:
@@ -196,9 +207,9 @@ def prepare(plant: Plant) -> Prepared:
     split raises an AssumptionError when the spectral assumption fails.
 
     A plant whose physics key (_physics_key) matches the last prepared one
-    bit for bit gets that split and S, T, U, V, rebound to itself; no other
-    plant is kept, and a plant whose split or solves raise is not kept at
-    all.  The split's arrays and S, T, U, V are read-only, since later
+    bit for bit gets that split, S, T, U, V and F, rebound to itself; no
+    other plant is kept, and a plant whose split or solves raise is not kept
+    at all.  The split's arrays, S, T, U, V and F are read-only, since later
     results share them.
     """
     global _last
@@ -206,8 +217,10 @@ def prepare(plant: Plant) -> Prepared:
     if _last[0] != key:
         prep = solve_quad(plant, plant.split())
         sp = prep.split
-        for M in (sp.W, sp.A11, sp.A12, sp.A22, prep.S, prep.T, prep.U, prep.V):
-            M.flags.writeable = False
+        for M in (sp.W, sp.A11, sp.A12, sp.A22, prep.S, prep.T, prep.U, prep.V,
+                  prep.F):
+            if M is not None:
+                M.flags.writeable = False
         _last = (key, prep)
     return replace(_last[1], plant=plant)
 
@@ -240,9 +253,9 @@ def assemble_xy(plant, prep: Prepared, quad: LyapunovQuad):
     With Xs = (S - T/g^2)^-1 and Yu = (U - V/g^2)^-1, X = W^H diag(0, Xs) W
     and Y = adj(W^H diag(Yu, 0) W) / g^2 with the plant's adjoint.  Requires
     SmTg and UmVg positive definite (see positivity).  rho(XY) is 0 on an
-    uncoupled split; otherwise it is taken on the anti-stable block, as
-    rho(Xs F Yu F^T) / g^2 with F = coupling(prep): the nonzero spectrum of
-    XY is that of this n_anti x n_anti product.  Returns
+    uncoupled split (prep.F is None); otherwise it is taken on the
+    anti-stable block, as rho(Xs F Yu F^T) / g^2 with F = prep.F: the
+    nonzero spectrum of XY is that of this n_anti x n_anti product.  Returns
     (X, Y, rho_xy, Xs, Yu).
     """
     split = prep.split
@@ -257,35 +270,10 @@ def assemble_xy(plant, prep: Prepared, quad: LyapunovQuad):
     X = W.conj().T @ Xt @ W
     Y = plant.adjoint(W.conj().T @ Yt @ W) / plant.gamma ** 2
     X, Y = 0.5 * (X + X.conj().T), 0.5 * (Y + Y.conj().T)
-    if uncoupled(plant, split):
-        rho = 0.0
-    else:
-        F = coupling(prep)
-        rho = linalg.spectral_radius(Xs @ F @ Yu @ F.T) / plant.gamma ** 2
+    F = prep.F
+    rho = (0.0 if F is None
+           else linalg.spectral_radius(Xs @ F @ Yu @ F.T) / plant.gamma ** 2)
     return X, Y, rho, Xs, Yu
-
-
-def coupling(prep: Prepared) -> np.ndarray:
-    """F = W2 JJ^T W1^T, read-only, once per physics: the block through
-    which a HinfPlant's sharp adjoint couples the anti-stable rows W2 of W
-    to the stable rows W1 (see gamma_threshold).  It vanishes when the
-    stable subspace is JJ-invariant, as on the sym family's splits.  Only a
-    coupled split (not uncoupled) has one."""
-    def compute():
-        split = prep.split
-        sd = split.n_stable
-        F = split.W[sd:] @ j_symplectic(prep.plant.n_modes).T @ split.W[:sd].T
-        F.flags.writeable = False
-        return F
-
-    return _once(prep, "coupling", compute)
-
-
-def uncoupled(plant, split: SchurSplit) -> bool:
-    """Whether nothing couples the split's blocks: the adjoint does not
-    (couples_blocks) or a block is empty.  X and Y then live on different
-    blocks, so rho(XY) = 0 and positivity alone decides."""
-    return not (plant.couples_blocks and split.n_stable and split.n_anti)
 
 
 def riccati_residuals(plant, X: np.ndarray, Y: np.ndarray, weights) -> dict:
@@ -310,7 +298,8 @@ def certify(plant: Plant, prep: Prepared, X: np.ndarray,
     Xs and Yu are assemble_xy's (S - T/g^2)^-1 and (U - V/g^2)^-1.  Returns
     the failed conditions (none: certified) and the diagnostics of the last
     three.  An empty anti-stable (stable) block makes X (Y) exactly 0, so
-    that loop matrix is Ax (Ay) at every gamma, and prep decides it once.
+    that loop matrix is Ax (Ay) at every gamma; the split has placed its
+    spectrum in the left half plane, so that gate reads True with no solve.
 
     In the split's basis, with P = S - T/g^2, Q = U - V/g^2 and tildes for
     W (.) W^H,
@@ -350,19 +339,16 @@ def certify(plant: Plant, prep: Prepared, X: np.ndarray,
 
     M, N = weights
     # a coupled two-sided split with A12 = 0 takes the block gates
-    if not (uncoupled(plant, split) or split.A12.any()):
+    if not (prep.F is None or split.A12.any()):
         W1, W2 = split.W[:split.n_stable], split.W[split.n_stable:]
         loops = (lambda: split.A22 + W2 @ M @ W2.conj().T @ Xs,
                  lambda: (W1 @ plant.adjoint(N) @ W1.conj().T @ Yu
                           / plant.gamma ** 2 - split.A11))
     else:
         loops = (lambda: plant.Ax + M @ X, lambda: plant.Ay + Y @ N)
-    for name, size, shifted, loop in zip(
-            "XY", (split.n_anti, split.n_stable), (plant.Ax, plant.Ay), loops):
-        gate = f"loop_{name.lower()}_hurwitz"
-        hurwitz = diagnostics[gate] = (
-            linalg.is_hurwitz(loop()) if size
-            else _once(prep, gate, lambda: linalg.is_hurwitz(shifted)))
+    for name, size, loop in zip("XY", (split.n_anti, split.n_stable), loops):
+        hurwitz = diagnostics[f"loop_{name.lower()}_hurwitz"] = (
+            not size or linalg.is_hurwitz(loop()))
         if not hurwitz:
             why.append(f"{name} is not stabilizing")
     return why, diagnostics
@@ -484,14 +470,14 @@ def synthesize_at(prep: Prepared, gamma: float) -> SynthesisResult:
             plant.gamma, schur, v.quad, None, None, None, 0.0 if passive else None,
             True if passive else None, None, certified=False,
             regime="passive" if passive else "general", failure=v.why[0])
-    Z, regime = ((None, "passive") if passive
-                 else _once(prep, "z_regime", lambda: _z_and_regime(prep)))
+    if not passive and "z_regime" not in prep._memo:
+        prep._memo["z_regime"] = _z_and_regime(prep)
+    Z, regime = (None, "passive") if passive else prep._memo["z_regime"]
     # positivity passed, so sigma_max of each inverse is 1 / lambda_min;
     # vacuous factors are 1 for empty blocks
     f_x, f_y = (1.0 / lam if size else 1.0
                 for lam, size in zip(v.lam_min, (split.n_anti, split.n_stable)))
-    sigma_condition = (uncoupled(plant, split)
-                       or bool(f_x * f_y < plant.gamma ** 2))
+    sigma_condition = prep.F is None or bool(f_x * f_y < plant.gamma ** 2)
     controller = (build_controller(plant, v.X, v.Y, v.IYX)
                   if v.IYX is not None else None)
     diagnostics = {**riccati_residuals(plant, v.X, v.Y, v.weights), **v.gates,
@@ -520,14 +506,15 @@ def gamma_threshold(prep: Prepared) -> float | None:
 
         L(nu) = [[S - nu^2 T, nu F], [nu F^H, U - nu^2 V]] > 0.
 
-    F = W2 E^H W1^H (coupling(prep)) couples the anti-stable rows W2 of W to
-    the stable rows W1 through the congruence E of the plant's adjoint,
-    adj(M) = E^H M^H E: E = JJ for a HinfPlant.  An uncoupled split has
-    F = 0, and gamma*^2 is the top eigenvalue of the pencil (diag(T, V),
-    diag(S, U)).  Otherwise, with L(0) = diag(S, U) = R R^H and mu = 1/nu,
-    gamma* is the largest real mu with det(mu^2 I + mu K1 - G G^H) = 0 (0
-    when none is positive), where K1 = R^-1 [[0, F], [F^H, 0]] R^-H and
-    G = R^-1 diag(T^1/2, V^1/2), so that G G^H = R^-1 diag(T, V) R^-H.
+    F = W2 E^H W1^H (prep.F) couples the anti-stable rows W2 of W to the
+    stable rows W1 through the congruence E of the plant's adjoint,
+    adj(M) = E^H M^H E: E = JJ for a HinfPlant.  An uncoupled split (prep.F
+    is None) has F = 0, and gamma*^2 is the top eigenvalue of the pencil
+    (diag(T, V), diag(S, U)).  Otherwise, with L(0) = diag(S, U) = R R^H
+    and mu = 1/nu, gamma* is the largest real mu with
+    det(mu^2 I + mu K1 - G G^H) = 0 (0 when none is positive), where
+    K1 = R^-1 [[0, F], [F^H, 0]] R^-H and G = R^-1 diag(T^1/2, V^1/2), so
+    that G G^H = R^-1 diag(T, V) R^-H.
     This quadratic eigenproblem is hyperbolic, and for mu != 0 it is
     (mu^2 I + mu K1 - G G^H) x = 0 exactly when
 
@@ -545,7 +532,7 @@ def gamma_threshold(prep: Prepared) -> float | None:
         return None
     na = split.n_anti
     n = na + split.n_stable
-    if uncoupled(plant, split):
+    if prep.F is None:
         dtype = np.result_type(S, T, U, V)
         L0, L2 = np.zeros((n, n), dtype), np.zeros((n, n), dtype)
         L0[:na, :na], L0[na:, na:] = S, U
@@ -564,7 +551,7 @@ def gamma_threshold(prep: Prepared) -> float | None:
     # off-diagonal block -Rs^-1 F Ru^-H, and G the diagonal blocks
     # Rs^-1 T^1/2 and Ru^-1 V^1/2
     Rs_inv, Ru_inv = inv_chol(S), inv_chol(U)
-    C = -Rs_inv @ coupling(prep) @ Ru_inv.conj().T
+    C = -Rs_inv @ prep.F @ Ru_inv.conj().T
     H = np.zeros((2 * n, 2 * n), np.result_type(C, T, V))
     H[:na, na:n] = C
     H[na:n, :na] = C.conj().T
@@ -604,7 +591,7 @@ def threshold(plant: Plant) -> Threshold:
         return Threshold(0.0, "performance")
     quad = prep.at(g_star)[1]
     failure, (lam_x, lam_y) = positivity(quad.SmTg, quad.UmVg, plant.opts)
-    if not (failure or uncoupled(plant, prep.split)):
+    if not (failure or prep.F is None):
         return Threshold(g_star, "coupling")
     return Threshold(g_star, "measurement" if lam_y < lam_x else "performance")
 

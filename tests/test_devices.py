@@ -52,6 +52,13 @@ class TestCavity:
             g = cavity_pr_gamma(kappa)
             assert g > np.sqrt(kappa)
             assert _cavity_pr_residual(kappa, g) < 1e-9
+        # above the branch point the minus root, which is not returned,
+        # realizes as well and also exceeds sqrt(kappa)
+        for k in (0.3, 0.6, 0.9):
+            a, b, c = k * k + 4 * k - 1, -8 * k * k, 2 * k * k * (k + 1)
+            g = np.sqrt(2 * c / (-b + np.sqrt(b * b - 4 * a * c)))
+            assert np.sqrt(k) < g < cavity_pr_gamma(k)
+            assert _cavity_pr_residual(k, g) < 1e-9
 
     def test_rejects_bad_ordering(self):
         with pytest.raises(StructureError):

@@ -508,6 +508,9 @@ class TestCli:
         {"gamma": True},
         {"gamma": 10**400},
         "directory",
+        "not-utf-8",
+        "too-deep",
+        "huge-int",
     ])
     def test_malformed_document_exit_one(self, change, rng, tmp_path, capsys):
         # a malformed document is refused with "error: ..." and exit 1,
@@ -515,6 +518,12 @@ class TestCli:
         path = tmp_path / "doc.json"
         if change == "directory":
             path.mkdir()
+        elif change == "not-utf-8":
+            path.write_bytes(b"\xff\xfe\x00x")
+        elif change == "too-deep":
+            path.write_text("[" * 100000 + "]" * 100000)
+        elif change == "huge-int":
+            path.write_text('{"gamma": 1' + "0" * 5000 + "}")
         elif change.keys() & {"matrices", "Hmat", "C1"}:
             # a plant document with one entry or the matrices replaced
             doc = json.loads(document_for(random_sym_plant(rng)).to_json())

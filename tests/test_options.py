@@ -69,8 +69,7 @@ PLANT_STAGES = [
     synth.prepare, synth.solve_quad, synth.verdict, synth.synthesize_at,
     synth.assemble_xy, synth.riccati_residuals, synth.certify,
     synth.build_controller, synth.synthesize, synth.gamma_threshold,
-    synth.min_certified_gamma, synth.uncoupled, synth.coupling,
-    synth.threshold,
+    synth.min_certified_gamma, synth.threshold,
     verify.are_oracle, verify.close_loop, verify.attenuation_certificate,
     report.synthesis_report,
 ]

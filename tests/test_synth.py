@@ -208,6 +208,20 @@ class TestPrepareReuse:
             assert len(solves) == 1
             prepare(other)
             assert len(solves) == 1
+        # Ay is read from the caller's plant, never from a shared product:
+        # a copy whose Ay alone differs reuses the entry, and its synthesis
+        # equals a fresh one
+        ay_nudged = copy.copy(plant)
+        ay_nudged.Ay = plant.Ay.copy()
+        ay_nudged.Ay[1, 1] = np.nextafter(ay_nudged.Ay[1, 1], 0.0)
+        want = synthesize(plant)
+        solves.clear()
+        got = synthesize(ay_nudged)
+        assert solves == []
+        assert (got.diagnostics["are_residual_y"]
+                != want.diagnostics["are_residual_y"])
+        monkeypatch.setattr(synth, "_last", (None, None))
+        _same_result(got, synthesize(ay_nudged))
 
     def test_refused_plant_raises_every_call(self, monkeypatch):
         kept = prepare(random_sym_plant(np.random.default_rng(52), 2))
@@ -233,6 +247,12 @@ class TestPrepareReuse:
             res.schur.W = np.eye(4)
         again = synthesize(plant.with_gamma(4.0))
         assert again.schur is res.schur and again.quad.S is res.quad.S
+        # the coupling block of a coupled split (here a case-2 amplifier's)
+        dpa = build_dpa(DpaSpec(2.0, 2.5, 1.0))
+        prep = prepare(dpa)
+        with pytest.raises(ValueError, match="read-only"):
+            prep.F[0, 0] = 1.0
+        assert prepare(dpa.with_gamma(4.0)).F is prep.F
         passive = synthesize(random_passive_plant(
             np.random.default_rng(53), 2))
         with pytest.raises(ValueError, match="read-only"):
@@ -260,20 +280,28 @@ class TestOneSided:
                 if v.IYX is not None:
                     assert np.array_equal(v.IYX, np.eye(len(v.X)))
 
-    def test_empty_side_gate_decided_once(self, monkeypatch):
+    def test_empty_side_gate_needs_no_solve(self, monkeypatch):
+        # the split has placed the empty side's loop matrix, Ay or Ax, in
+        # the left half plane, so its gate reads True with no eigenvalue
+        # solve; only the other side's gate, which changes with gamma, runs
         rng = np.random.default_rng(55)
         calls = count_calls(monkeypatch, "is_hurwitz", linalg)
         for side in (1, -1):
             plant = random_general_plant(rng, 2, side)
             g = min_certified_gamma(plant, 0.1, 10.0)
+            gate, empty = (("loop_y_hurwitz", plant.Ay) if side > 0
+                           else ("loop_x_hurwitz", plant.Ax))
             monkeypatch.setattr(synth, "_last", (None, None))
             calls.clear()
             for at in np.linspace(1.1, 3.0, 10) * g:
-                assert synthesize(plant.with_gamma(at)).certified
-            # the other side's loop matrix changes with gamma: ten calls
-            empty = plant.Ay if side > 0 else plant.Ax
-            assert sum(np.array_equal(A, empty) for A, in calls) == 1
-            assert len(calls) == 11
+                res = synthesize(plant.with_gamma(at))
+                assert res.certified and res.diagnostics[gate] is True
+            assert not any(np.array_equal(A, empty) for A, in calls)
+            assert len(calls) == 10
+            # just above gamma* as well, where the other gate may refuse
+            prep = prepare(plant)
+            for at in [g * (1 + 10.0 ** -k) for k in range(6, 14)]:
+                assert verdict(prep, at).gates[gate] is True
 
 
 def _plain_bisection(plant, lo, hi, tol):
@@ -414,7 +442,7 @@ class TestGammaThreshold:
                   + [random_mixed_plant(rng, n) for n in (2, 3, 4)]
                   + list(_dpa_plants(rng, 2)))
         preps = [prepare(p) for p in plants]
-        coupled = [not synth.uncoupled(p.plant, p.split) for p in preps]
+        coupled = [p.F is not None for p in preps]
         assert coupled == [False] + [True] * 7 + [False, True] * 2
         # a singular T on a coupled split: the square root meets zero
         # eigenvalues
@@ -438,7 +466,7 @@ class TestGammaThreshold:
                   + [build_cavity(CavitySpec(1.0, 4.0))])
         for plant in plants:
             prep = prepare(plant)
-            assert synth.uncoupled(plant, prep.split)
+            assert prep.F is None
             top = sla.eigvalsh(sla.block_diag(prep.T, prep.V),
                                sla.block_diag(prep.S, prep.U))[-1]
             assert gamma_threshold(prep) == float(np.sqrt(max(top, 0.0)))
@@ -453,7 +481,7 @@ def _companion_gamma_star(prep):
     L2 = sla.block_diag(prep.T, prep.V)
     na = prep.split.n_anti
     L1 = np.zeros_like(L0)
-    L1[:na, na:] = synth.coupling(prep)
+    L1[:na, na:] = prep.F
     L1[na:, :na] = L1[:na, na:].T
     n = L0.shape[0]
     Rinv = sla.solve_triangular(np.linalg.cholesky(L0), np.eye(n), lower=True)
@@ -479,8 +507,7 @@ def _null_vector_binding(plant):
     v1 vanishes, "performance" when v2 does, "coupling" otherwise."""
     prep = prepare(plant)
     nu, na = 1.0 / gamma_threshold(prep), prep.split.n_anti
-    F = (np.zeros((na, prep.split.n_stable))
-         if synth.uncoupled(plant, prep.split) else synth.coupling(prep))
+    F = np.zeros((na, prep.split.n_stable)) if prep.F is None else prep.F
     L = np.block([[prep.S - nu**2 * prep.T, nu * F],
                   [nu * F.conj().T, prep.U - nu**2 * prep.V]])
     v = np.linalg.eigh(L)[1][:, 0]
